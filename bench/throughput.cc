@@ -17,10 +17,15 @@
 //      exec::ThreadPool engine moves.
 //   4. Sharded metro scale (opt-in: --metro or MADNET_BENCH_METRO):
 //      one Table-II-density run at metro population (100k peers; 20k in
-//      fast mode) across a (tiles × intra-run jobs) grid — wall-clock and
-//      events/sec per point, with the sharding determinism gate on top:
-//      every point must report identical events/messages/deliveries
-//      (docs/SHARDING.md). --tiles=CSV overrides the per-side list.
+//      fast mode) across a (tiles × intra-run jobs) grid, plus one
+//      10^6-peer tiles=1 point outside fast mode. Per point: wall-clock,
+//      simulated seconds per wall second, wall seconds per broadcast,
+//      events/sec, set-up time, peak RSS (VmHWM) and bytes per peer. Idle
+//      gossip rounds are parked, so events/sec alone is not comparable
+//      across that change; the other rates are. The sharding determinism
+//      gate sits on top: every point of one population must report
+//      identical events/messages/deliveries (docs/SHARDING.md).
+//      --tiles=CSV overrides the per-side list.
 //
 // Results go to stdout and to BENCH_throughput.json in $MADNET_BENCH_CSV
 // (default "."). The sweep's aggregates are compared between the serial
@@ -30,10 +35,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "exec/intra_run.h"
 
@@ -106,40 +117,119 @@ bool SweepsIdentical(const SweepResult& a, const SweepResult& b) {
   return true;
 }
 
-/// One (tiles-per-side × intra-run jobs) point of the metro grid.
+/// A "VmHWM:"/"VmRSS:" line of /proc/self/status, in bytes (0 if absent).
+double ProcStatusBytes(const char* key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  const size_t key_len = std::strlen(key);
+  while (std::getline(status, line)) {
+    if (line.compare(0, key_len, key) == 0) {
+      return std::strtod(line.c_str() + key_len, nullptr) * 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+/// One (population × tiles-per-side × intra-run jobs) point of the metro
+/// grid.
 struct MetroPoint {
+  int peers = 0;
   int tiles_per_side = 1;
   int jobs = 1;
-  double wall_s = 0.0;
+  double setup_s = 0.0;  ///< Scenario construction.
+  double wall_s = 0.0;   ///< Scenario::Run() only.
+  double peak_rss_bytes = 0.0;
+  double bytes_per_peer = 0.0;  ///< Peak RSS growth over the point, per peer.
+  double sim_time_s = 0.0;
   RunResult result;
   sim::ShardStats shard;
   uint32_t tile_count = 1;
+
+  double sim_s_per_wall_s() const { return sim_time_s / wall_s; }
+  double wall_s_per_broadcast() const {
+    return result.net.messages_sent > 0
+               ? wall_s / static_cast<double>(result.net.messages_sent)
+               : 0.0;
+  }
+  double events_per_sec() const {
+    return static_cast<double>(result.events_executed) / wall_s;
+  }
 };
+
+/// The metro scenario at `peers`: Table II density (300 peers on a 5 km
+/// side) preserved at metro population, so per-broadcast receiver counts —
+/// and therefore the physics — match the paper's regime. Pure gossiping,
+/// not the postpone-optimized variant: only peers holding the ad keep a
+/// live round chain, the rest park theirs, so the run weighs what a city
+/// of mostly idle peers costs — mobility, index refresh, set-up, memory.
+ScenarioConfig MetroConfig(int peers, double sim_time_s) {
+  ScenarioConfig config;
+  config.num_peers = peers;
+  config.area_size_m = 5000.0 * std::sqrt(peers / 300.0);
+  config.issue_location = {config.area_size_m / 2.0,
+                           config.area_size_m / 2.0};
+  config.sim_time_s = sim_time_s;
+  config.issue_time_s = 5.0;
+  config.method = Method::kGossip;
+  config.initial_radius_m = 5000.0;  // A metro downtown.
+  return config;
+}
 
 /// Runs the metro scenario once at the point's tile/jobs setting.
 MetroPoint RunMetroPoint(ScenarioConfig config, int tiles_per_side,
                          int jobs) {
   MetroPoint point;
+  point.peers = config.num_peers;
   point.tiles_per_side = tiles_per_side;
   point.jobs = jobs;
+  point.sim_time_s = config.sim_time_s;
   config.tiles = tiles_per_side;
   if (Status status = config.Validate(); !status.ok()) {
     MADNET_LOG_ERROR("metro config (tiles=%d): %s", tiles_per_side,
                      status.ToString().c_str());
     std::exit(EXIT_FAILURE);
   }
-  scenario::Scenario scenario(config);
-  if (jobs > 1) {
-    scenario.medium()->SetParallelExecutor(exec::IntraRunExecutor(jobs));
+#if defined(__GLIBC__)
+  // Hand heap retained from earlier sections back to the kernel, or this
+  // point would reuse it unseen and read as a few bytes per peer.
+  malloc_trim(0);
+#endif
+  // Reset VmHWM to the current RSS so the read after the run is this
+  // point's peak. Where the kernel refuses, it stays the process-wide peak.
+  std::ofstream("/proc/self/clear_refs") << "5";
+  const double rss_before = ProcStatusBytes("VmRSS:");
+  const auto setup_start = std::chrono::steady_clock::now();
+  {
+    scenario::Scenario scenario(config);
+    point.setup_s = SecondsSince(setup_start);
+    if (jobs > 1) {
+      scenario.medium()->SetParallelExecutor(exec::IntraRunExecutor(jobs));
+    }
+    const auto start = std::chrono::steady_clock::now();
+    point.result = scenario.Run();
+    point.wall_s = SecondsSince(start);
+    if (scenario.simulator()->sharded()) {
+      point.shard = scenario.simulator()->shard_stats();
+      point.tile_count = scenario.simulator()->shard_tile_count();
+    }
   }
-  const auto start = std::chrono::steady_clock::now();
-  point.result = scenario.Run();
-  point.wall_s = SecondsSince(start);
-  if (scenario.simulator()->sharded()) {
-    point.shard = scenario.simulator()->shard_stats();
-    point.tile_count = scenario.simulator()->shard_tile_count();
-  }
+  point.peak_rss_bytes = ProcStatusBytes("VmHWM:");
+  point.bytes_per_peer =
+      (point.peak_rss_bytes - rss_before) / static_cast<double>(point.peers);
   return point;
+}
+
+void PrintMetroPoint(const MetroPoint& point) {
+  std::printf(
+      "  peers=%-7d tiles=%-3d jobs=%d  %7.3f s  %7.1f sim-s/s"
+      "  %8.2f us/broadcast  %9.0f events/s  setup %.2f s"
+      "  peak %6.1f MB  %5.0f B/peer  (handoffs %llu, migrations %llu)\n",
+      point.peers, point.tiles_per_side, point.jobs, point.wall_s,
+      point.sim_s_per_wall_s(), point.wall_s_per_broadcast() * 1e6,
+      point.events_per_sec(), point.setup_s, point.peak_rss_bytes / 1e6,
+      point.bytes_per_peer,
+      static_cast<unsigned long long>(point.shard.cross_tile_handoffs),
+      static_cast<unsigned long long>(point.shard.migrations));
 }
 
 void Run(const bench::BenchEnv& env, bool metro,
@@ -274,22 +364,8 @@ void Run(const bench::BenchEnv& env, bool metro,
   std::vector<MetroPoint> metro_points;
   ScenarioConfig metro_config;
   if (metro) {
-    // Table II density (300 peers on a 5 km side) preserved at metro
-    // population, so per-broadcast receiver counts — and therefore the
-    // physics — match the paper's regime while the event count scales
-    // with the population. Pure gossiping, not the postpone-optimized
-    // variant: "the gossiping process is always active", so every peer
-    // keeps a live 5 s round chain and the calendar really holds one
-    // timer per peer — the load the tiled loop exists for.
-    metro_config.num_peers = env.fast ? 20000 : 100000;
-    metro_config.area_size_m =
-        5000.0 * std::sqrt(metro_config.num_peers / 300.0);
-    metro_config.issue_location = {metro_config.area_size_m / 2.0,
-                                   metro_config.area_size_m / 2.0};
-    metro_config.sim_time_s = env.fast ? 20.0 : 40.0;
-    metro_config.issue_time_s = 5.0;
-    metro_config.method = Method::kGossip;
-    metro_config.initial_radius_m = 5000.0;  // A metro downtown.
+    metro_config = MetroConfig(env.fast ? 20000 : 100000,
+                               env.fast ? 20.0 : 40.0);
     if (metro_tiles.empty()) {
       metro_tiles = env.fast ? std::vector<int>{1, 8, 16}
                              : std::vector<int>{1, 8, 16, 32};
@@ -301,24 +377,24 @@ void Run(const bench::BenchEnv& env, bool metro,
         metro_config.sim_time_s);
     for (int tiles : metro_tiles) {
       for (int jobs : metro_jobs) {
-        MetroPoint point = RunMetroPoint(metro_config, tiles, jobs);
-        const double eps =
-            static_cast<double>(point.result.events_executed) / point.wall_s;
-        std::printf(
-            "  tiles=%-3d jobs=%d  %8.3f s  %11.0f events/s"
-            "  (handoffs %llu, migrations %llu)\n",
-            tiles, jobs, point.wall_s, eps,
-            static_cast<unsigned long long>(point.shard.cross_tile_handoffs),
-            static_cast<unsigned long long>(point.shard.migrations));
-        metro_points.push_back(std::move(point));
+        metro_points.push_back(RunMetroPoint(metro_config, tiles, jobs));
+        PrintMetroPoint(metro_points.back());
       }
     }
-    // The sharding determinism gate at scale: every grid point computed
-    // the identical simulation. Trace-byte identity is covered by the
-    // scenario_sharding tests; at 100k peers the cheap full-strength
-    // check is the counter triple.
+    if (!env.fast) {
+      // Scale probe: ten times the population on one queue, the run that
+      // bytes per peer and set-up cost per peer are read from.
+      metro_points.push_back(RunMetroPoint(
+          MetroConfig(1000000, metro_config.sim_time_s), 1, 1));
+      PrintMetroPoint(metro_points.back());
+    }
+    // The sharding determinism gate at scale: every grid point of one
+    // population computed the identical simulation. Trace-byte identity is
+    // covered by the scenario_sharding tests; at 100k peers the cheap
+    // full-strength check is the counter triple.
     const RunResult& head = metro_points.front().result;
     for (const MetroPoint& point : metro_points) {
+      if (point.peers != metro_points.front().peers) continue;
       if (point.result.events_executed != head.events_executed ||
           point.result.net.messages_sent != head.net.messages_sent ||
           point.result.net.deliveries != head.net.deliveries) {
@@ -330,8 +406,8 @@ void Run(const bench::BenchEnv& env, bool metro,
         std::exit(EXIT_FAILURE);
       }
     }
-    std::printf("  determinism       all %zu tile/jobs points identical ✓\n",
-                metro_points.size());
+    std::printf("  determinism       all %d-peer tile/jobs points identical ✓\n",
+                metro_config.num_peers);
   }
 
   if (env.csv_dir.empty()) return;
@@ -421,19 +497,32 @@ void Run(const bench::BenchEnv& env, bool metro,
     json.BeginArray();
     for (const MetroPoint& point : metro_points) {
       json.BeginObject();
+      json.Key("peers");
+      json.Value(point.peers);
       json.Key("tiles_per_side");
       json.Value(point.tiles_per_side);
       json.Key("tile_count");
       json.Value(static_cast<uint64_t>(point.tile_count));
       json.Key("jobs");
       json.Value(point.jobs);
+      json.Key("setup_s");
+      json.Value(point.setup_s);
       json.Key("wall_s");
       json.Value(point.wall_s);
+      json.Key("sim_s_per_wall_s");
+      json.Value(point.sim_s_per_wall_s());
+      json.Key("broadcasts");
+      json.Value(point.result.net.messages_sent);
+      json.Key("wall_s_per_broadcast");
+      json.Value(point.wall_s_per_broadcast());
       json.Key("events");
       json.Value(static_cast<uint64_t>(point.result.events_executed));
       json.Key("events_per_sec");
-      json.Value(static_cast<double>(point.result.events_executed) /
-                 point.wall_s);
+      json.Value(point.events_per_sec());
+      json.Key("peak_rss_mb");
+      json.Value(point.peak_rss_bytes / 1e6);
+      json.Key("bytes_per_peer");
+      json.Value(point.bytes_per_peer);
       json.Key("cross_tile_handoffs");
       json.Value(point.shard.cross_tile_handoffs);
       json.Key("migrations");

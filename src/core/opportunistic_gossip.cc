@@ -30,11 +30,10 @@ void OpportunisticGossip::Start() {
         1.0);
   }
   if (!options_.postpone) {
-    // One global round timer, randomly phased: "all peers work
-    // asynchronously and the gossiping process is always active".
-    const double phase = context_.rng.Uniform(0.0, options_.round_time_s);
-    round_timer_ = context_.simulator->SchedulePeriodic(
-        phase, options_.round_time_s, [this]() { return GossipRound(); });
+    // One global round chain, randomly phased: "all peers work
+    // asynchronously". A round over an empty cache draws nothing and sends
+    // nothing, so the chain stays parked until InsertAd arms it.
+    next_round_s_ = Now() + context_.rng.Uniform(0.0, options_.round_time_s);
   }
 }
 
@@ -99,11 +98,13 @@ void OpportunisticGossip::RefreshCache() {
   }
 }
 
-bool OpportunisticGossip::GossipRound() {
+void OpportunisticGossip::GossipRound() {
+  round_event_ = sim::kInvalidEventId;
   HintOwnTile();  // The round chain follows the node across tiles.
   // Algorithm 2: refresh all entries' probabilities, then broadcast each
   // entry with its probability.
   RefreshCache();
+  if (cache_.Size() == 0) return;  // Parked until the next insert.
   cache_.ForEach([this](uint64_t key, CacheEntry& entry) {
     if (context_.rng.Bernoulli(entry.probability)) {
       net::Packet packet = MakeGossipPacket(entry.ad);
@@ -115,7 +116,16 @@ bool OpportunisticGossip::GossipRound() {
                                entry.probability);
     }
   });
-  return true;
+  // Rescheduled after the round's broadcasts, so the next round's event
+  // sequence number follows theirs.
+  ArmRound();
+}
+
+void OpportunisticGossip::ArmRound() {
+  const Time now = Now();
+  while (next_round_s_ <= now) next_round_s_ += options_.round_time_s;
+  round_event_ = context_.simulator->ScheduleAt(
+      next_round_s_, [this]() { GossipRound(); });
 }
 
 void OpportunisticGossip::ScheduleEntry(uint64_t key, CacheEntry* entry) {
@@ -168,7 +178,7 @@ CacheEntry* OpportunisticGossip::InsertAd(Advertisement ad,
   entry.ad = std::move(ad);
   entry.probability = initial_probability;
   // First gossip of a fresh entry happens within one round, randomly
-  // phased (Opt-2 path; without Opt-2 the global round timer covers it).
+  // phased (Opt-2 path; without Opt-2 the global round chain covers it).
   entry.next_gossip_time =
       Now() + context_.rng.Uniform(0.0, options_.round_time_s);
 
@@ -177,8 +187,12 @@ CacheEntry* OpportunisticGossip::InsertAd(Advertisement ad,
   if (evicted_timer != sim::kInvalidEventId) {
     context_.simulator->Cancel(evicted_timer);
   }
-  if (inserted != nullptr && options_.postpone) {
-    ScheduleEntry(inserted->ad.id.Key(), inserted);
+  if (inserted != nullptr) {
+    if (options_.postpone) {
+      ScheduleEntry(inserted->ad.id.Key(), inserted);
+    } else if (round_event_ == sim::kInvalidEventId) {
+      ArmRound();
+    }
   }
   return inserted;
 }

@@ -91,9 +91,10 @@ class OpportunisticGossip : public Protocol {
   OpportunisticGossip(ProtocolContext context, const GossipOptions& options,
                       InterestProfile interests = {});
 
-  /// Registers with the medium; without Optimization 2, also starts the
-  /// node's global gossip round timer at a random phase in [0, round_time)
-  /// ("all peers work asynchronously").
+  /// Registers with the medium; without Optimization 2, also draws the
+  /// phase of the node's global gossip round chain, uniform in
+  /// [0, round_time) ("all peers work asynchronously"). The chain starts
+  /// parked — nothing is scheduled until the first ad enters the cache.
   void Start() override;
 
   /// Issues a new ad: inserts it into the local cache and broadcasts it
@@ -102,7 +103,8 @@ class OpportunisticGossip : public Protocol {
   [[nodiscard]] StatusOr<AdId> Issue(const AdContent& content, double radius_m,
                        double duration_s) override;
 
-  /// Crash-with-cache-loss: drops every cached ad and cancels its timer.
+  /// Crash-with-cache-loss: drops every cached ad and cancels its timer;
+  /// the global round chain parks at its next round.
   /// `seen_hop_` survives on purpose — first-receipt metrics and the ranking
   /// step fire once per (ad, peer) even across a crash, matching
   /// DeliveryLog's semantics.
@@ -142,8 +144,16 @@ class OpportunisticGossip : public Protocol {
   /// (cancelling their timers).
   void RefreshCache();
 
-  /// Global round (no Optimization 2): broadcast each entry w.p. P.
-  bool GossipRound();
+  /// Global round (no Optimization 2): broadcast each entry w.p. P, then
+  /// schedule the next round — or park the chain if the cache is empty.
+  void GossipRound();
+
+  /// Schedules the next round at the first chain time strictly after
+  /// Now(). Tie rule: an insert at exactly a chain time arms the round one
+  /// period later, as an always-on timer's round at that instant would
+  /// already have run (scheduled a period earlier) and found the cache
+  /// empty.
+  void ArmRound();
 
   /// Per-entry timer fired (Optimization 2 path).
   void EntryTimerFired(uint64_t key);
@@ -163,7 +173,15 @@ class OpportunisticGossip : public Protocol {
   GossipOptions options_;
   InterestProfile interests_;
   AdCache cache_;
-  sim::PeriodicHandle round_timer_;
+  /// Global round chain (no Optimization 2). Chain times are the Start
+  /// phase plus repeated additions of round_time — never phase + k * round
+  /// — so every round lands on the same double as an always-on periodic
+  /// timer would. next_round_s_ is the latest chain time reached (the
+  /// first one, before any round ran). A round that finds the cache empty
+  /// parks the chain: round_event_ stays invalid, so an idle peer keeps no
+  /// event pending (docs/architecture.md §2).
+  sim::Time next_round_s_ = 0.0;
+  sim::EventId round_event_ = sim::kInvalidEventId;
   uint64_t postpone_count_ = 0;
   uint64_t displayed_count_ = 0;
   /// Ad keys ever seen, mapped to the hop count at first receipt (0 for

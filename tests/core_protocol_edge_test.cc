@@ -387,5 +387,133 @@ TEST(MediumEdgeTest, FadingDropsEdgeReceivers) {
   EXPECT_GT(edge_received, 0);
 }
 
+// --- Idle quiescence of the global round chain (pure gossip, Opt-1) ---
+//
+// A round over an empty cache draws nothing and sends nothing, so the
+// chain parks instead of firing it; the first insert re-arms it on the
+// same timestamps an always-on timer would have used.
+
+/// The bed seeds node `id`'s stream with 5000 + id, and Start() draws the
+/// round phase before anything else.
+double StartPhase(NodeId id, double round_time_s) {
+  Rng rng(5000 + id);
+  return rng.Uniform(0.0, round_time_s);
+}
+
+/// First chain time strictly after `t`, by repeated addition from the
+/// phase (Start ran at t = 0) — the same doubles a periodic timer yields.
+double ChainTimeAfter(double phase, double round_time_s, double t) {
+  double chain = phase;
+  while (chain <= t) chain += round_time_s;
+  return chain;
+}
+
+/// An ad as a bystander node would have issued it, for injecting receipts
+/// with Medium::Broadcast.
+Advertisement InjectedAd(NodeId issuer, Time now, Vec2 where,
+                         double duration_s) {
+  Advertisement ad;
+  ad.id = AdId{issuer, 1};
+  ad.issue_time = now;
+  ad.issue_location = where;
+  ad.initial_radius_m = ad.radius_m = 1000.0;
+  ad.initial_duration_s = ad.duration_s = duration_s;
+  ad.content = PetrolAd();
+  return ad;
+}
+
+TEST(GossipQuiescenceTest, LonePeerHasNothingPendingAfterStart) {
+  for (const GossipOptions& options :
+       {GossipOptions::Pure(), GossipOptions::Optimized1()}) {
+    EdgeTestBed bed;
+    bed.AddGossip(bed.AddStationary({0.0, 0.0}), options);
+    EXPECT_EQ(bed.sim_.PendingEvents(), 0u);
+    bed.sim_.RunUntil(100.0);
+    EXPECT_EQ(bed.sim_.ExecutedEvents(), 0u);
+  }
+}
+
+TEST(GossipQuiescenceTest, FirstRoundAfterReceiptLandsOnStartPhaseChain) {
+  EdgeTestBed bed;
+  const NodeId listener = bed.AddStationary({0.0, 0.0});
+  const NodeId bystander = bed.AddStationary({10.0, 0.0});  // No protocol.
+  const GossipOptions options = GossipOptions::Pure();
+  auto* peer = bed.AddGossip(listener, options);
+  const double phase = StartPhase(listener, options.round_time_s);
+
+  // Several chain times pass while the cache is empty.
+  bed.sim_.RunUntil(23.4);
+  const Advertisement ad = InjectedAd(bystander, bed.sim_.Now(),
+                                      {10.0, 0.0}, 300.0);
+  ASSERT_TRUE(bed.medium_->Broadcast(bystander, MakeGossipPacket(ad)).ok());
+  bed.sim_.RunUntil(23.41);  // Delivery latency is at most 2 ms.
+  ASSERT_NE(peer->cache().Find(ad.id.Key()), nullptr);
+  const double expected = ChainTimeAfter(phase, options.round_time_s, 23.4);
+  ASSERT_GT(expected, 23.41) << "a chain time fell in the receipt window";
+
+  ASSERT_EQ(bed.sim_.PendingEvents(), 1u);  // The armed round only.
+  ASSERT_TRUE(bed.sim_.Step());
+  EXPECT_EQ(bed.sim_.Now(), expected);  // Bit-equal, not approximately.
+}
+
+TEST(GossipQuiescenceTest, UnboundedRunDrainsAfterExpiry) {
+  // An always-on round timer would make Simulator::Run() loop forever here.
+  for (const GossipOptions& options :
+       {GossipOptions::Pure(), GossipOptions::Optimized1()}) {
+    EdgeTestBed bed;
+    bed.AddStationary({0.0, 0.0});
+    bed.AddStationary({50.0, 0.0});
+    auto* issuer = bed.AddGossip(0, options);
+    auto* listener = bed.AddGossip(1, options);
+    auto issued = issuer->Issue(PetrolAd(), 1000.0, 60.0);
+    ASSERT_TRUE(issued.ok());
+    // Fail fast rather than hang if idle rounds ever come back.
+    bed.sim_.RunUntil(1000.0);
+    ASSERT_EQ(bed.sim_.PendingEvents(), 0u);
+    EXPECT_EQ(bed.sim_.Run(), 0u);
+    EXPECT_EQ(bed.sim_.PendingEvents(), 0u);
+    EXPECT_EQ(issuer->cache().Size(), 0u);
+    EXPECT_EQ(listener->cache().Size(), 0u);
+    EXPECT_GT(bed.medium_->stats().messages_sent, 5u);  // Rounds were live.
+  }
+}
+
+TEST(GossipQuiescenceTest, CrashParksChainAfterAtMostOneRound) {
+  EdgeTestBed bed;
+  auto* peer = bed.AddGossip(bed.AddStationary({0.0, 0.0}),
+                             GossipOptions::Pure());
+  ASSERT_TRUE(peer->Issue(PetrolAd(), 1000.0, 800.0).ok());
+  bed.sim_.RunUntil(12.0);
+  ASSERT_EQ(bed.sim_.PendingEvents(), 1u);  // The live round chain.
+
+  peer->OnCrash();
+  EXPECT_EQ(peer->cache().Size(), 0u);
+  const uint64_t before = bed.sim_.ExecutedEvents();
+  bed.sim_.RunUntil(12.0 + peer->options().round_time_s);
+  EXPECT_EQ(bed.sim_.ExecutedEvents(), before + 1);  // One empty round.
+  EXPECT_EQ(bed.sim_.PendingEvents(), 0u);
+}
+
+TEST(GossipQuiescenceTest, InsertAtChainTimeArmsOnePeriodLater) {
+  // Tie rule: the chain re-arms at the first chain time *strictly* after
+  // the insert. An always-on timer's round at that instant was scheduled a
+  // period earlier, so it ran before the insert and found the cache empty;
+  // the first round that can see the ad is one period later.
+  EdgeTestBed bed;
+  const NodeId id = bed.AddStationary({0.0, 0.0});
+  const GossipOptions options = GossipOptions::Pure();
+  auto* peer = bed.AddGossip(id, options);
+  const double phase = StartPhase(id, options.round_time_s);
+  const double chain_time = phase + options.round_time_s +
+                            options.round_time_s;  // Repeated addition.
+  bed.sim_.RunUntil(chain_time);
+  ASSERT_EQ(bed.sim_.Now(), chain_time);
+
+  ASSERT_TRUE(peer->Issue(PetrolAd(), 1000.0, 800.0).ok());
+  ASSERT_EQ(bed.sim_.PendingEvents(), 1u);
+  ASSERT_TRUE(bed.sim_.Step());
+  EXPECT_EQ(bed.sim_.Now(), chain_time + options.round_time_s);
+}
+
 }  // namespace
 }  // namespace madnet::core
