@@ -15,17 +15,13 @@
 //      serially and then with a worker per hardware thread — wall-clock
 //      both ways and the resulting speedup. This is the number the
 //      exec::ThreadPool engine moves.
-//   4. Sharded metro scale (opt-in: --metro or MADNET_BENCH_METRO):
-//      one Table-II-density run at metro population (100k peers; 20k in
-//      fast mode) across a (tiles × intra-run jobs) grid, plus one
-//      10^6-peer tiles=1 point outside fast mode. Per point: wall-clock,
-//      simulated seconds per wall second, wall seconds per broadcast,
-//      events/sec, set-up time, peak RSS (VmHWM) and bytes per peer. Idle
-//      gossip rounds are parked, so events/sec alone is not comparable
-//      across that change; the other rates are. The sharding determinism
-//      gate sits on top: every point of one population must report
-//      identical events/messages/deliveries (docs/SHARDING.md).
-//      --tiles=CSV overrides the per-side list.
+//   4. Metro scale (opt-in: --metro or MADNET_BENCH_METRO): one
+//      Table-II-density run at metro population (100k peers; 20k in fast
+//      mode), plus one 10^6-peer point outside fast mode. Per point:
+//      wall-clock, simulated seconds per wall second, wall seconds per
+//      broadcast, events/sec, set-up time, peak RSS (VmHWM) and bytes per
+//      peer. Idle gossip rounds are parked, so events/sec alone is not
+//      comparable across that change; the other rates are.
 //
 // Results go to stdout and to BENCH_throughput.json in $MADNET_BENCH_CSV
 // (default "."). The sweep's aggregates are compared between the serial
@@ -45,8 +41,6 @@
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
-
-#include "exec/intra_run.h"
 
 #include "bench/bench_util.h"
 #include "exec/parallel_for.h"
@@ -130,20 +124,15 @@ double ProcStatusBytes(const char* key) {
   return 0.0;
 }
 
-/// One (population × tiles-per-side × intra-run jobs) point of the metro
-/// grid.
+/// One population point of the metro probe.
 struct MetroPoint {
   int peers = 0;
-  int tiles_per_side = 1;
-  int jobs = 1;
   double setup_s = 0.0;  ///< Scenario construction.
   double wall_s = 0.0;   ///< Scenario::Run() only.
   double peak_rss_bytes = 0.0;
   double bytes_per_peer = 0.0;  ///< Peak RSS growth over the point, per peer.
   double sim_time_s = 0.0;
   RunResult result;
-  sim::ShardStats shard;
-  uint32_t tile_count = 1;
 
   double sim_s_per_wall_s() const { return sim_time_s / wall_s; }
   double wall_s_per_broadcast() const {
@@ -175,17 +164,13 @@ ScenarioConfig MetroConfig(int peers, double sim_time_s) {
   return config;
 }
 
-/// Runs the metro scenario once at the point's tile/jobs setting.
-MetroPoint RunMetroPoint(ScenarioConfig config, int tiles_per_side,
-                         int jobs) {
+/// Runs the metro scenario once.
+MetroPoint RunMetroPoint(const ScenarioConfig& config) {
   MetroPoint point;
   point.peers = config.num_peers;
-  point.tiles_per_side = tiles_per_side;
-  point.jobs = jobs;
   point.sim_time_s = config.sim_time_s;
-  config.tiles = tiles_per_side;
   if (Status status = config.Validate(); !status.ok()) {
-    MADNET_LOG_ERROR("metro config (tiles=%d): %s", tiles_per_side,
+    MADNET_LOG_ERROR("metro config (%d peers): %s", config.num_peers,
                      status.ToString().c_str());
     std::exit(EXIT_FAILURE);
   }
@@ -202,16 +187,9 @@ MetroPoint RunMetroPoint(ScenarioConfig config, int tiles_per_side,
   {
     scenario::Scenario scenario(config);
     point.setup_s = SecondsSince(setup_start);
-    if (jobs > 1) {
-      scenario.medium()->SetParallelExecutor(exec::IntraRunExecutor(jobs));
-    }
     const auto start = std::chrono::steady_clock::now();
     point.result = scenario.Run();
     point.wall_s = SecondsSince(start);
-    if (scenario.simulator()->sharded()) {
-      point.shard = scenario.simulator()->shard_stats();
-      point.tile_count = scenario.simulator()->shard_tile_count();
-    }
   }
   point.peak_rss_bytes = ProcStatusBytes("VmHWM:");
   point.bytes_per_peer =
@@ -221,19 +199,14 @@ MetroPoint RunMetroPoint(ScenarioConfig config, int tiles_per_side,
 
 void PrintMetroPoint(const MetroPoint& point) {
   std::printf(
-      "  peers=%-7d tiles=%-3d jobs=%d  %7.3f s  %7.1f sim-s/s"
-      "  %8.2f us/broadcast  %9.0f events/s  setup %.2f s"
-      "  peak %6.1f MB  %5.0f B/peer  (handoffs %llu, migrations %llu)\n",
-      point.peers, point.tiles_per_side, point.jobs, point.wall_s,
-      point.sim_s_per_wall_s(), point.wall_s_per_broadcast() * 1e6,
-      point.events_per_sec(), point.setup_s, point.peak_rss_bytes / 1e6,
-      point.bytes_per_peer,
-      static_cast<unsigned long long>(point.shard.cross_tile_handoffs),
-      static_cast<unsigned long long>(point.shard.migrations));
+      "  peers=%-7d  %7.3f s  %7.1f sim-s/s  %8.2f us/broadcast"
+      "  %9.0f events/s  setup %.2f s  peak %6.1f MB  %5.0f B/peer\n",
+      point.peers, point.wall_s, point.sim_s_per_wall_s(),
+      point.wall_s_per_broadcast() * 1e6, point.events_per_sec(),
+      point.setup_s, point.peak_rss_bytes / 1e6, point.bytes_per_peer);
 }
 
-void Run(const bench::BenchEnv& env, bool metro,
-         std::vector<int> metro_tiles) {
+void Run(const bench::BenchEnv& env, bool metro) {
   bench::PrintHeader(
       "Throughput — raw engine speed (tracked across PRs, not a figure)",
       "n/a; reference numbers for the simulation core itself.");
@@ -359,55 +332,25 @@ void Run(const bench::BenchEnv& env, bool metro,
   std::printf("  determinism       serial == jobs=%d aggregates ✓\n",
               parallel_jobs);
 
-  // --- 4. Sharded metro scale (opt-in; see docs/SHARDING.md and the
-  // EXPERIMENTS.md "Metro scale" section). ---
+  // --- 4. Metro scale (opt-in; see the EXPERIMENTS.md "Metro scale"
+  // section). ---
   std::vector<MetroPoint> metro_points;
   ScenarioConfig metro_config;
   if (metro) {
     metro_config = MetroConfig(env.fast ? 20000 : 100000,
                                env.fast ? 20.0 : 40.0);
-    if (metro_tiles.empty()) {
-      metro_tiles = env.fast ? std::vector<int>{1, 8, 16}
-                             : std::vector<int>{1, 8, 16, 32};
-    }
-    const std::vector<int> metro_jobs = {1, env.jobs > 1 ? env.jobs : 2};
-    std::printf(
-        "\nSharded metro scale (%d peers, %.0f m side, %.0f s simulated):\n",
-        metro_config.num_peers, metro_config.area_size_m,
-        metro_config.sim_time_s);
-    for (int tiles : metro_tiles) {
-      for (int jobs : metro_jobs) {
-        metro_points.push_back(RunMetroPoint(metro_config, tiles, jobs));
-        PrintMetroPoint(metro_points.back());
-      }
-    }
+    std::printf("\nMetro scale (%d peers, %.0f m side, %.0f s simulated):\n",
+                metro_config.num_peers, metro_config.area_size_m,
+                metro_config.sim_time_s);
+    metro_points.push_back(RunMetroPoint(metro_config));
+    PrintMetroPoint(metro_points.back());
     if (!env.fast) {
-      // Scale probe: ten times the population on one queue, the run that
-      // bytes per peer and set-up cost per peer are read from.
-      metro_points.push_back(RunMetroPoint(
-          MetroConfig(1000000, metro_config.sim_time_s), 1, 1));
+      // Scale probe: ten times the population, the run that bytes per
+      // peer and set-up cost per peer are read from.
+      metro_points.push_back(
+          RunMetroPoint(MetroConfig(1000000, metro_config.sim_time_s)));
       PrintMetroPoint(metro_points.back());
     }
-    // The sharding determinism gate at scale: every grid point of one
-    // population computed the identical simulation. Trace-byte identity is
-    // covered by the scenario_sharding tests; at 100k peers the cheap
-    // full-strength check is the counter triple.
-    const RunResult& head = metro_points.front().result;
-    for (const MetroPoint& point : metro_points) {
-      if (point.peers != metro_points.front().peers) continue;
-      if (point.result.events_executed != head.events_executed ||
-          point.result.net.messages_sent != head.net.messages_sent ||
-          point.result.net.deliveries != head.net.deliveries) {
-        MADNET_LOG_ERROR(
-            "metro point tiles=%d jobs=%d diverged from tiles=%d jobs=%d — "
-            "sharding determinism contract broken",
-            point.tiles_per_side, point.jobs,
-            metro_points.front().tiles_per_side, metro_points.front().jobs);
-        std::exit(EXIT_FAILURE);
-      }
-    }
-    std::printf("  determinism       all %d-peer tile/jobs points identical ✓\n",
-                metro_config.num_peers);
   }
 
   if (env.csv_dir.empty()) return;
@@ -499,12 +442,6 @@ void Run(const bench::BenchEnv& env, bool metro,
       json.BeginObject();
       json.Key("peers");
       json.Value(point.peers);
-      json.Key("tiles_per_side");
-      json.Value(point.tiles_per_side);
-      json.Key("tile_count");
-      json.Value(static_cast<uint64_t>(point.tile_count));
-      json.Key("jobs");
-      json.Value(point.jobs);
       json.Key("setup_s");
       json.Value(point.setup_s);
       json.Key("wall_s");
@@ -523,17 +460,9 @@ void Run(const bench::BenchEnv& env, bool metro,
       json.Value(point.peak_rss_bytes / 1e6);
       json.Key("bytes_per_peer");
       json.Value(point.bytes_per_peer);
-      json.Key("cross_tile_handoffs");
-      json.Value(point.shard.cross_tile_handoffs);
-      json.Key("migrations");
-      json.Value(point.shard.migrations);
-      json.Key("lookahead_violations");
-      json.Value(point.shard.lookahead_violations);
       json.EndObject();
     }
     json.EndArray();
-    json.Key("deterministic");
-    json.Value(true);
     json.EndObject();
   }
   json.EndObject();
@@ -555,29 +484,10 @@ void Run(const bench::BenchEnv& env, bool metro,
 int main(int argc, char** argv) {
   const auto env = madnet::bench::BenchEnv::FromEnvironment(argc, argv);
   bool metro = std::getenv("MADNET_BENCH_METRO") != nullptr;
-  std::vector<int> metro_tiles;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metro") == 0) {
-      metro = true;
-    } else if (std::strncmp(argv[i], "--tiles=", 8) == 0) {
-      // Comma-separated per-side values for the metro grid, e.g.
-      // --tiles=1,8,32 (implies --metro).
-      metro = true;
-      metro_tiles.clear();
-      for (const char* p = argv[i] + 8; *p != '\0';) {
-        char* end = nullptr;
-        const long value = std::strtol(p, &end, 10);
-        if (end == p || value < 0) {
-          MADNET_LOG_ERROR("--tiles wants comma-separated counts, got \"%s\"",
-                           argv[i] + 8);
-          return 2;
-        }
-        metro_tiles.push_back(static_cast<int>(value));
-        p = *end == ',' ? end + 1 : end;
-      }
-    }
+    if (std::strcmp(argv[i], "--metro") == 0) metro = true;
   }
   madnet::bench::ObsGuard obs(env);
-  madnet::Run(env, metro, std::move(metro_tiles));
+  madnet::Run(env, metro);
   return 0;
 }

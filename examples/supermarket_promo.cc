@@ -7,6 +7,8 @@
 // Manhattan street grid. The program reports who was notified while
 // passing the store's advertising area and the delivery-time distribution.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -16,9 +18,9 @@
 #include "mobility/manhattan_grid.h"
 #include "mobility/random_waypoint.h"
 #include "net/medium.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "stats/delivery.h"
-#include "stats/histogram.h"
 
 namespace {
 
@@ -147,15 +149,31 @@ int main() {
               static_cast<unsigned long long>(medium.stats().messages_sent),
               static_cast<unsigned long long>(medium.stats().bytes_sent));
 
-  stats::Histogram histogram(0.0, 120.0, 12);
+  // Twelve 10 s buckets over (0, 120] s; the last bucket catches later
+  // deliveries.
+  std::vector<double> bounds;
+  for (int i = 1; i <= 12; ++i) bounds.push_back(10.0 * i);
+  obs::FixedHistogram histogram(bounds);
   for (const auto& [id, transit] : walkers.transits()) {
     if (!transit.Passed()) continue;
     const double receipt = log.FirstReceipt(ad_key, id);
     if (receipt >= 0.0 && receipt <= transit.LastExit()) {
-      histogram.Add(std::max(0.0, receipt - transit.FirstEnter()));
+      histogram.Observe(std::max(0.0, receipt - transit.FirstEnter()));
     }
   }
-  std::printf("\npedestrian delivery-time distribution (s):\n%s",
-              histogram.ToString().c_str());
+  std::printf("\npedestrian delivery-time distribution (s):\n");
+  const std::vector<uint64_t>& counts = histogram.counts();
+  const uint64_t peak = std::max<uint64_t>(
+      1, *std::max_element(counts.begin(), counts.end()));
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (i < bounds.size()) {
+      std::printf("<= %6.1f", bounds[i]);
+    } else {
+      std::printf(" > %6.1f", bounds.back());
+    }
+    std::printf(" %6llu |%.*s\n", static_cast<unsigned long long>(counts[i]),
+                static_cast<int>(counts[i] * 50 / peak),
+                "##################################################");
+  }
   return 0;
 }

@@ -100,7 +100,6 @@ void OpportunisticGossip::RefreshCache() {
 
 void OpportunisticGossip::GossipRound() {
   round_event_ = sim::kInvalidEventId;
-  HintOwnTile();  // The round chain follows the node across tiles.
   // Algorithm 2: refresh all entries' probabilities, then broadcast each
   // entry with its probability.
   RefreshCache();
@@ -137,7 +136,6 @@ void OpportunisticGossip::ScheduleEntry(uint64_t key, CacheEntry* entry) {
 }
 
 void OpportunisticGossip::EntryTimerFired(uint64_t key) {
-  HintOwnTile();  // Per-entry (Opt-2) chains migrate with the node too.
   CacheEntry* entry = cache_.Find(key);
   if (entry == nullptr) return;  // Raced with eviction; timer was stale.
   entry->timer = sim::kInvalidEventId;

@@ -29,12 +29,6 @@ void Protocol::Broadcast(const net::Packet& packet) {
   (void)context_.medium->Broadcast(context_.self, packet);
 }
 
-void Protocol::HintOwnTile() {
-  const sim::TileGrid* grid = context_.medium->shard_grid();
-  if (grid == nullptr) return;
-  context_.simulator->SetTileHint(grid->TileOf(Position()));
-}
-
 void Protocol::RecordReceipt(uint64_t ad_key) {
   if (context_.delivery_log == nullptr) return;
   context_.delivery_log->RecordReceipt(ad_key, context_.self, Now());

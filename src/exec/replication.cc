@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/intra_run.h"
 #include "exec/parallel_for.h"
 #include "obs/run_context.h"
 #include "obs/session.h"
@@ -20,7 +19,7 @@ using scenario::SaveConfigText;
 using scenario::ScenarioConfig;
 
 Aggregate RunReplicated(const ScenarioConfig& base, int replications,
-                        int jobs, int intra_jobs) {
+                        int jobs) {
   MADNET_DCHECK_GE(replications, 1);
   obs::Session* session = obs::Session::Get();
 
@@ -28,9 +27,9 @@ Aggregate RunReplicated(const ScenarioConfig& base, int replications,
   // and RNG stream derived from its seed), so seeds can run concurrently
   // without any sharing. Results land in seed-indexed slots. When an
   // observability session is installed, each replication also fills its own
-  // RunContext (sharded recording: no cross-thread contention), handed to
-  // the session below with a seed-derived sort key so flushed artifacts
-  // are byte-identical at any `jobs`.
+  // RunContext (no cross-thread contention), handed to the session below
+  // with a seed-derived sort key so flushed artifacts are byte-identical at
+  // any `jobs`.
   std::vector<RunResult> results(static_cast<size_t>(replications));
   std::vector<std::unique_ptr<obs::RunContext>> contexts(
       session != nullptr ? results.size() : 0);
@@ -38,16 +37,8 @@ Aggregate RunReplicated(const ScenarioConfig& base, int replications,
       ResolveJobs(jobs), results.size(), [&](size_t i) {
         ScenarioConfig config = base;
         config.seed = base.seed + static_cast<uint64_t>(i);
-        // Intra-run workers, wired after construction so the scenario
-        // layer never depends on exec. Each replication gets its own pool
-        // (IntraRunExecutor's Wait() must only see its medium's chunks).
         auto run = [&](obs::RunContext* obs) {
-          scenario::Scenario scenario(config, obs);
-          if (intra_jobs != 1) {
-            scenario.medium()->SetParallelExecutor(
-                IntraRunExecutor(intra_jobs));
-          }
-          return scenario.Run();
+          return scenario::Scenario(config, obs).Run();
         };
         if (session != nullptr) {
           auto context =

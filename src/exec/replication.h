@@ -47,14 +47,8 @@ struct Aggregate {
 /// records, metrics, and a "replication" wall-clock phase — and the
 /// contexts are handed to the session keyed by the replication's config
 /// text, so flushed traces/metrics are also byte-identical at any `jobs`.
-///
-/// `intra_jobs` parallelizes order-free work *inside* each replication
-/// (exec::IntraRunExecutor wired into the medium; see docs/SHARDING.md):
-/// 1 keeps the medium's zero-overhead serial path, > 1 gives every
-/// replication its own pool of that many workers, <= 0 means hardware
-/// concurrency. Results stay bit-identical at any value.
 Aggregate RunReplicated(const scenario::ScenarioConfig& base,
-                        int replications, int jobs = 1, int intra_jobs = 1);
+                        int replications, int jobs = 1);
 
 }  // namespace madnet::exec
 

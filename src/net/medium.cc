@@ -158,21 +158,6 @@ double Medium::RefreshIndex() const {
     // results feed straight into the state arrays without a hash lookup
     // per hit.
     const size_t n = ids_.size();
-    if (parallel_ && n >= 4096) {
-      // Warm the per-tick position cache across workers before the serial
-      // pack below. Each index owns its cache slots and mobility model
-      // exclusively, so disjoint [begin, end) ranges never touch shared
-      // state, and the arithmetic per node is the same as the serial
-      // path's — the pack then reads identical warm values in identical
-      // order, keeping the rebuild bit-for-bit reproducible at any worker
-      // count. Below ~4k nodes the fork/join overhead beats the win.
-      parallel_(n, [this, now](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          if (!online_[i]) continue;
-          (void)CachedPositionAt(static_cast<uint32_t>(i), now);
-        }
-      });
-    }
     rebuild_id_scratch_.clear();
     rebuild_x_scratch_.clear();
     rebuild_y_scratch_.clear();
@@ -395,9 +380,9 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
   if (trace_ != nullptr && trace_->Enabled(obs::kTraceTx)) {
     trace_->Tx(now, from, origin.x, origin.y, packet.size_bytes, tx_seq);
   }
-  if (tiles_ != nullptr) {
+  if (tile_load_ != nullptr) {
     // Queue depth counts this frame too (it is in flight from now on).
-    tiles_->RecordBroadcast(origin.x, origin.y, live_frames_ + 1);
+    tile_load_->RecordBroadcast(origin.x, origin.y, live_frames_ + 1);
   }
   // All deliveries of this broadcast share one arena frame (acquired on
   // the first scheduled delivery). Each delivery callback captures
@@ -407,17 +392,6 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
   // time: a frame that will be lost still arrives at the receiver's radio
   // and must contend in its collision window, and a receiver that churns
   // offline mid-flight is charged dropped_offline, not dropped_loss.
-  // With a shard grid attached, each delivery is scheduled into the
-  // *receiver's* tile calendar so the event lands where its effects are
-  // (docs/SHARDING.md). The latency draw stays in the same position in
-  // the RNG stream and the schedule gets the same global seq either way,
-  // so routing does not move the event in the (time, seq) order.
-  const uint32_t sender_tile =
-      shard_grid_ != nullptr ? shard_grid_->TileOf(origin) : 0;
-  if (shard_grid_ != nullptr &&
-      shard_grid_->CountTilesOverlapping(origin, options_.range_m) > 1) {
-    stats_.shard_ghost_broadcasts += 1;
-  }
   uint32_t slot = kNotFound;
   for (uint32_t to : NeighborIndicesOf(origin, options_.range_m)) {
     if (to == from_index) continue;
@@ -431,17 +405,8 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
       frame_pool_[slot].tx_seq = tx_seq;
     }
     ++frame_pool_[slot].refs;
-    if (shard_grid_ != nullptr) {
-      // The position is already warm in the per-tick cache (the exact
-      // distance filter above evaluated it), so TileOf costs two fmuls.
-      const uint32_t tile = shard_grid_->TileOf(CachedPositionAt(to, now));
-      if (tile != sender_tile) stats_.shard_cross_tile_deliveries += 1;
-      simulator_->ScheduleInTile(latency, tile,
-                                 [this, slot, to]() { DeliverFrame(slot, to); });
-    } else {
-      simulator_->Schedule(latency,
-                           [this, slot, to]() { DeliverFrame(slot, to); });
-    }
+    simulator_->Schedule(latency,
+                         [this, slot, to]() { DeliverFrame(slot, to); });
   }
   return Status::Ok();
 }
@@ -508,14 +473,8 @@ void Medium::CsmaTransmit(uint32_t slot) {
     trace_->Tx(now, from, origin.x, origin.y, frame.packet.size_bytes,
                frame.tx_seq);
   }
-  if (tiles_ != nullptr) {
-    tiles_->RecordBroadcast(origin.x, origin.y, live_frames_);
-  }
-  const uint32_t sender_tile =
-      shard_grid_ != nullptr ? shard_grid_->TileOf(origin) : 0;
-  if (shard_grid_ != nullptr &&
-      shard_grid_->CountTilesOverlapping(origin, options_.range_m) > 1) {
-    stats_.shard_ghost_broadcasts += 1;
+  if (tile_load_ != nullptr) {
+    tile_load_->RecordBroadcast(origin.x, origin.y, live_frames_);
   }
 
   for (uint32_t to : NeighborIndicesOf(origin, options_.range_m)) {
@@ -543,18 +502,10 @@ void Medium::CsmaTransmit(uint32_t slot) {
         continue;
       }
     }
-    // Reception completes when the frame's airtime ends. As in the ideal
-    // path, the completion event is owned by the receiver's tile.
+    // Reception completes when the frame's airtime ends.
     ++frame.refs;
-    if (shard_grid_ != nullptr) {
-      const uint32_t tile = shard_grid_->TileOf(CachedPositionAt(to, now));
-      if (tile != sender_tile) stats_.shard_cross_tile_deliveries += 1;
-      simulator_->ScheduleInTile(
-          airtime, tile, [this, slot, to]() { CsmaCompleteRx(slot, to); });
-    } else {
-      simulator_->Schedule(airtime,
-                           [this, slot, to]() { CsmaCompleteRx(slot, to); });
-    }
+    simulator_->Schedule(airtime,
+                         [this, slot, to]() { CsmaCompleteRx(slot, to); });
   }
   ReleaseFrame(slot);  // Drop the retry chain's carry ref.
 }
@@ -580,9 +531,9 @@ void Medium::CsmaCompleteRx(uint32_t slot, uint32_t to) {
     trace_->Rx(now, frame.from, ids_[to], frame.packet.size_bytes,
                frame.packet.ad_key, frame.tx_seq);
   }
-  if (tiles_ != nullptr) {
+  if (tile_load_ != nullptr) {
     const Vec2 at = CachedPositionAt(to, now);
-    tiles_->RecordDelivery(at.x, at.y);
+    tile_load_->RecordDelivery(at.x, at.y);
   }
   if (handlers_[to]) {
     delivering_tx_seq_ = frame.tx_seq;
@@ -662,9 +613,9 @@ void Medium::DeliverTo(uint32_t to_index, NodeId from, const Vec2& origin,
     trace_->Rx(now, from, ids_[to_index], packet.size_bytes, packet.ad_key,
                tx_seq);
   }
-  if (tiles_ != nullptr) {
+  if (tile_load_ != nullptr) {
     const Vec2 at = CachedPositionAt(to_index, now);
-    tiles_->RecordDelivery(at.x, at.y);
+    tile_load_->RecordDelivery(at.x, at.y);
   }
   if (handlers_[to_index]) {
     delivering_tx_seq_ = tx_seq;

@@ -231,20 +231,18 @@ Status ScenarioConfig::Validate() const {
         " (keys 'speed'/'speed_delta') — the spatial index uses it as "
         "staleness slack");
   }
-  if (tiles < 0) {
+  if (tiles != 1) {
     return BadKey("tiles", Num(tiles),
-                  "accepted range [0, inf) — 0 means auto, 1 the single "
-                  "shared event queue, K >= 2 a K x K tile grid");
+                  "retired; the event loop has a single queue, so only 1 "
+                  "is accepted");
   }
-  if (tiles >= 2 && area_size_m / tiles < medium.range_m) {
-    return Status::InvalidArgument(
-        "key 'tiles' = " + Num(tiles) + ": tile edge area/tiles = " +
-        Num(area_size_m / tiles) +
-        " m is narrower than the transmission range (key 'range' = " +
-        Num(medium.range_m) +
-        " m) — a broadcast disc must span at most the 3 x 3 tile "
-        "neighbourhood (docs/SHARDING.md); use fewer tiles or a larger "
-        "arena");
+  if (assign_interests && interest_options.universe.empty()) {
+    // Only 'ranking = true' turns interest assignment on, and the loader
+    // fills the default universe with it; a programmatic config that sets
+    // the flag alone would make InterestGenerator::Sample index nothing.
+    return BadKey("ranking", "true",
+                  "interest assignment needs a non-empty keyword universe "
+                  "(interest_options.universe is empty)");
   }
   Status fault_valid = fault.Validate();
   if (!fault_valid.ok()) return fault_valid;

@@ -193,12 +193,6 @@ Status ApplyConfigKey(const std::string& key, const std::string& value,
     return s;
   }
   if (key == "issuer_offline") return as_bool(&config->issuer_goes_offline);
-  if (key == "tiles") {
-    int64_t tiles = 0;
-    Status s = as_count(&tiles);
-    if (s.ok()) config->tiles = static_cast<int>(tiles);
-    return s;
-  }
   // Fault-plan keys (docs/FAULTS.md). All off by default.
   if (key == "churn_rate") return as_double(&config->fault.churn_rate);
   if (key == "churn_up") return as_double(&config->fault.churn_up_s);
@@ -321,7 +315,6 @@ std::string SaveConfigText(const ScenarioConfig& config) {
   boolean("csma", config.medium.csma);
   boolean("ranking", config.gossip.ranking);
   boolean("issuer_offline", config.issuer_goes_offline);
-  out << "tiles = " << config.tiles << '\n';
   number("churn_rate", config.fault.churn_rate);
   number("churn_up", config.fault.churn_up_s);
   number("churn_down", config.fault.churn_down_s);

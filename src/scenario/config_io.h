@@ -51,7 +51,7 @@ StatusOr<std::vector<ConfigEntry>> ReadConfigEntries(const std::string& path);
 /// speed, speed_delta, max_speed, pause_min, pause_max, manhattan_block,
 /// hotspot_p, hotspot_sigma, hotspot_extra, round, alpha, beta, dis,
 /// cache, range, loss, fading, collisions, csma, ranking, issuer_offline,
-/// tiles, seed) plus the fault plan (churn_rate, churn_up, churn_down,
+/// seed) plus the fault plan (churn_rate, churn_up, churn_down,
 /// churn_crash, churn_start, loss_extra, loss_episode, loss_period,
 /// loss_start, outage_x0/y0/x1/y1, outage_start, outage_end — see
 /// docs/FAULTS.md). 'area' recenters issue_location; set issue_x/issue_y

@@ -3,9 +3,6 @@
 #include "sim/simulator.h"
 
 #include <cassert>
-#include <chrono>
-
-#include "util/logging.h"
 
 namespace madnet::sim {
 
@@ -25,74 +22,12 @@ bool PeriodicHandle::active() const { return state_ && !state_->stopped; }
 
 EventId Simulator::Schedule(Time delay, EventQueue::Callback callback) {
   if (delay < 0.0) delay = 0.0;
-  return ScheduleCommon(now_ + delay, kNoTile, std::move(callback));
+  return queue_.Push(now_ + delay, std::move(callback));
 }
 
 EventId Simulator::ScheduleAt(Time when, EventQueue::Callback callback) {
   if (when < now_) when = now_;
-  return ScheduleCommon(when, kNoTile, std::move(callback));
-}
-
-EventId Simulator::ScheduleInTile(Time delay, uint32_t tile,
-                                  EventQueue::Callback callback) {
-  if (delay < 0.0) delay = 0.0;
-  return ScheduleCommon(now_ + delay, tile, std::move(callback));
-}
-
-EventId Simulator::ScheduleAtInTile(Time when, uint32_t tile,
-                                    EventQueue::Callback callback) {
-  if (when < now_) when = now_;
-  return ScheduleCommon(when, tile, std::move(callback));
-}
-
-EventId Simulator::ScheduleCommon(Time when, uint32_t tile,
-                                  EventQueue::Callback callback) {
-  if (sharded_ == nullptr) return queue_.Push(when, std::move(callback));
-  bool hinted = false;
-  if (tile == kNoTile) {
-    if (hint_tile_ != kNoTile) {
-      tile = hint_tile_;
-      hinted = true;
-    } else {
-      tile = current_tile_;
-    }
-  }
-  MADNET_DCHECK(tile < sharded_->tile_count());
-  if (executing_ && tile != current_tile_) {
-    // Cross-tile schedule made mid-event: route it through the executing
-    // tile's handoff buffer, drained at the post-event barrier in
-    // (source tile, seq) order. Semantically identical to a direct push —
-    // the merged drain orders by (time, seq) either way — but it keeps the
-    // cross-tile traffic on the one code path a parallel window drain will
-    // need, and lets us account for the conservative lookahead.
-    shard_stats_.cross_tile_handoffs += 1;
-    if (hinted) shard_stats_.migrations += 1;
-    const double lead = when - now_;
-    if (lead < shard_stats_.min_handoff_lead_s) {
-      shard_stats_.min_handoff_lead_s = lead;
-    }
-    if (lead + 1e-12 < lookahead_s_) shard_stats_.lookahead_violations += 1;
-    return sharded_->PushHandoff(when, current_tile_, tile,
-                                 std::move(callback));
-  }
-  shard_stats_.local_pushes += 1;
-  return sharded_->Push(when, tile, std::move(callback));
-}
-
-void Simulator::EnableSharding(uint32_t tile_count, double lookahead_s) {
-  MADNET_DCHECK(sharded_ == nullptr && "sharding already enabled");
-  MADNET_DCHECK(queue_.Empty() && executed_ == 0 &&
-                "EnableSharding requires a pristine simulator");
-  MADNET_DCHECK_GE(tile_count, 1u);
-  sharded_ = std::make_unique<ShardedEventQueue>(tile_count);
-  lookahead_s_ = lookahead_s;
-}
-
-void Simulator::EnableShardTelemetry() {
-  MADNET_DCHECK(sharded_ != nullptr);
-  shard_telemetry_ = true;
-  tile_busy_s_.assign(sharded_->tile_count(), 0.0);
-  tile_executed_.assign(sharded_->tile_count(), 0);
+  return queue_.Push(when, std::move(callback));
 }
 
 PeriodicHandle Simulator::SchedulePeriodic(Time initial_delay, Time period,
@@ -135,7 +70,6 @@ void Simulator::RecordDispatchGap(double gap) {
 }
 
 bool Simulator::Step() {
-  if (sharded_ != nullptr) return StepSharded();
   if (queue_.Empty()) return false;
   auto [when, callback] = queue_.Pop();
   assert(when >= now_ && "event queue went backwards in time");
@@ -149,40 +83,9 @@ bool Simulator::Step() {
   return true;
 }
 
-bool Simulator::StepSharded() {
-  if (sharded_->Empty()) return false;
-  ShardedEventQueue::Popped popped = sharded_->Pop();
-  assert(popped.when >= now_ && "event queue went backwards in time");
-  if (record_dispatch_gaps_) RecordDispatchGap(popped.when - now_);
-  now_ = popped.when;
-  ++executed_;
-  if (trace_ != nullptr && trace_->Enabled(obs::kTraceEvent)) {
-    trace_->Event(now_, executed_);
-  }
-  current_tile_ = popped.tile;
-  executing_ = true;
-  if (shard_telemetry_) {
-    const auto start = std::chrono::steady_clock::now();
-    popped.callback();
-    tile_busy_s_[popped.tile] +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    tile_executed_[popped.tile] += 1;
-  } else {
-    popped.callback();
-  }
-  executing_ = false;
-  hint_tile_ = kNoTile;
-  current_tile_ = 0;
-  // Post-event barrier: cross-tile schedules made by this event enter
-  // their target calendars now, in (source tile, seq) order.
-  sharded_->FlushHandoffs(popped.tile);
-  return true;
-}
-
 uint64_t Simulator::RunUntil(Time until) {
   uint64_t count = 0;
-  while (!QueueEmpty() && QueueNextTime() <= until) {
+  while (!queue_.Empty() && queue_.NextTime() <= until) {
     Step();
     ++count;
   }
@@ -195,7 +98,6 @@ uint64_t Simulator::RunUntil(Time until) {
 
 void Simulator::Reset() {
   queue_.Clear();
-  if (sharded_ != nullptr) sharded_->Clear();
   now_ = 0.0;
   executed_ = 0;
   for (size_t i = 0; i < kDispatchGapBuckets; ++i) dispatch_gap_counts_[i] = 0;

@@ -174,6 +174,8 @@ TEST(ScenarioCorpusTest, NegativeFixturesFailWithExactDiagnostics) {
        "must lie inside the arena [0, 5000]^2 (key 'area')"},
       {"bad_unknown_key.cfg",
        ":1: unknown config key 'rage' (see docs/scenario_schema.md)"},
+      {"bad_retired_tiles.cfg",
+       ":1: unknown config key 'tiles' (see docs/scenario_schema.md)"},
       {"bad_negative_cache.cfg",
        ":1: key 'cache' = -5: must be a non-negative integer"},
       {"bad_hotspot_sigma.cfg",

@@ -58,6 +58,29 @@ TEST(ConfigTest, RejectsBadValues) {
   expect_invalid([](ScenarioConfig* c) { c->medium.max_speed_mps = 1.0; });
 }
 
+TEST(ConfigTest, RejectsRetiredTilesNamingTheKey) {
+  ScenarioConfig config;
+  config.tiles = 2;
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(status.message().find("key 'tiles'"), std::string::npos)
+      << status.message();
+}
+
+TEST(ConfigTest, RejectsInterestsWithoutUniverseNamingRanking) {
+  // The programmatic default universe is empty; only config files fill it
+  // (with 'ranking = true'). Running this config used to index an empty
+  // vector in InterestGenerator::Sample.
+  ScenarioConfig config;
+  config.gossip.ranking = true;
+  config.assign_interests = true;
+  ASSERT_TRUE(config.interest_options.universe.empty());
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(status.message().find("key 'ranking'"), std::string::npos)
+      << status.message();
+}
+
 TEST(MethodTest, NamesMatchPaperLegends) {
   EXPECT_STREQ(MethodName(Method::kFlooding), "Flooding");
   EXPECT_STREQ(MethodName(Method::kGossip), "Gossiping");
@@ -114,9 +137,24 @@ TEST(ScenarioTest, AllMethodsDeliverInDenseNetwork) {
   }
 }
 
+// One peer on a highway lane (fixed y, driving along x) far from the
+// issuer: it never enters the ad area and never comes within radio range,
+// so the issuer transmits with no one to deliver to. Validate rejects a
+// peer-less config (see bad_zero_peers.cfg), so this is the closest legal
+// "empty audience" run.
+ScenarioConfig LonePeerOutOfRange(Method method) {
+  ScenarioConfig config = FastConfig(method, 1);
+  config.mobility = Mobility::kHighway;
+  config.area_size_m = 10000.0;
+  config.issue_location = {5000.0, 300.0};
+  return config;
+}
+
 TEST(ScenarioTest, ZeroPeersRunsCleanly) {
-  ScenarioConfig config = FastConfig(Method::kGossip, 0);
-  RunResult result = RunScenario(config);
+  // Zero peers in reach: this seed's lane keeps the lone peer out of range
+  // for the whole run.
+  RunResult result = RunScenario(LonePeerOutOfRange(Method::kGossip));
+  ASSERT_EQ(result.net.deliveries, 0u);
   EXPECT_EQ(result.report.peers_passed, 0u);
   EXPECT_DOUBLE_EQ(result.DeliveryRatePercent(), 0.0);
   // The issuer stays online (default) and keeps gossiping its own cached
@@ -129,8 +167,8 @@ TEST(ScenarioTest, FloodingKeepsIssuerTransmitting) {
   // With flooding the issuer stays online the whole period: its frames keep
   // flowing each round (compare against a gossip run where the issuer goes
   // offline after 1 s and contributes a single frame).
-  ScenarioConfig config = FastConfig(Method::kFlooding, 0);
-  RunResult result = RunScenario(config);
+  RunResult result = RunScenario(LonePeerOutOfRange(Method::kFlooding));
+  ASSERT_EQ(result.net.deliveries, 0u);
   // One frame per 5 s round over the 300 s life: ~60 frames.
   EXPECT_GT(result.Messages(), 50u);
 }

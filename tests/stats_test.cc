@@ -7,7 +7,6 @@
 #include "mobility/trace.h"
 #include "stats/delivery.h"
 #include "stats/energy.h"
-#include "stats/histogram.h"
 #include "stats/summary.h"
 
 namespace madnet::stats {
@@ -96,34 +95,6 @@ TEST(SummaryTest, SingleValue) {
   s.Add(3.3);
   EXPECT_DOUBLE_EQ(s.Stddev(), 0.0);
   EXPECT_DOUBLE_EQ(s.Percentile(37.0), 3.3);
-}
-
-TEST(HistogramTest, BinsValues) {
-  Histogram h(0.0, 10.0, 5);
-  for (double v : {0.0, 1.9, 2.0, 5.5, 9.99}) h.Add(v);
-  EXPECT_EQ(h.BinCount(0), 2u);  // [0, 2)
-  EXPECT_EQ(h.BinCount(1), 1u);  // [2, 4)
-  EXPECT_EQ(h.BinCount(2), 1u);  // [4, 6)
-  EXPECT_EQ(h.BinCount(3), 0u);
-  EXPECT_EQ(h.BinCount(4), 1u);  // [8, 10)
-  EXPECT_EQ(h.TotalCount(), 5u);
-}
-
-TEST(HistogramTest, UnderOverflow) {
-  Histogram h(0.0, 10.0, 2);
-  h.Add(-0.1);
-  h.Add(10.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.Underflow(), 1u);
-  EXPECT_EQ(h.Overflow(), 2u);
-  EXPECT_EQ(h.TotalCount(), 3u);
-}
-
-TEST(HistogramTest, BinEdges) {
-  Histogram h(10.0, 20.0, 4);
-  EXPECT_DOUBLE_EQ(h.BinLow(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.BinLow(3), 17.5);
-  EXPECT_EQ(h.num_bins(), 4);
 }
 
 // --- AreaTracker / DeliveryLog / ComputeDeliveryReport ---

@@ -666,8 +666,8 @@ TEST(MadnetLintTest, FlagsUpwardLayerInclude) {
 
 TEST(MadnetLintTest, FlagsForbiddenCoreToNetCycle) {
   // core -> net is a tolerated same-layer edge on its own, but the moment
-  // net includes core back the module graph has a cycle and both the
-  // sharding refactor and incremental builds are in trouble.
+  // net includes core back the module graph has a cycle and layered
+  // refactors and incremental builds are in trouble.
   const auto diags = RunLinter({
       {"src/core/protocol.h", "#include \"net/medium.h\"\n"},
       {"src/net/medium.h", "#include \"core/advertisement.h\"\n"},

@@ -69,14 +69,9 @@ int Run(int argc, char** argv) {
   flags.Define("ranking", "false", "enable FM popularity ranking");
   flags.Define("seed", "1", "base random seed");
   flags.Define("reps", "3", "replications (seeds seed..seed+reps-1)");
-  flags.Define("tiles", "1",
-               "event-loop tile grid side K (K x K tiles; 1 = single "
-               "queue, 0 = auto) — an execution plan, results are "
-               "byte-identical at any value (docs/SHARDING.md)");
   flags.Define("jobs", "1",
-               "worker threads: across replications, and inside each "
-               "run's index rebuild (<= 0 = hardware concurrency); "
-               "results stay byte-identical at any value");
+               "worker threads across replications (<= 0 = hardware "
+               "concurrency); results stay byte-identical at any value");
   flags.Define("dump_traces", "",
                "write every node's mobility trace to this file and exit");
   flags.Define("config", "",
@@ -154,8 +149,7 @@ int Run(int argc, char** argv) {
   for (const char* key : {"peers", "area", "radius", "duration", "sim_time",
                           "issue_time", "speed", "speed_delta", "round",
                           "alpha", "beta", "dis", "cache", "range", "loss",
-                          "collisions", "ranking", "issuer_offline", "tiles",
-                          "seed"}) {
+                          "collisions", "ranking", "issuer_offline", "seed"}) {
     if (!config_path.empty() && !flags.IsSet(key)) continue;
     Status applied =
         scenario::ApplyConfigKey(key, flags.GetString(key), &config);
@@ -203,7 +197,7 @@ int Run(int argc, char** argv) {
 
   const int reps = static_cast<int>(*flags.GetInt("reps"));
   const int jobs = static_cast<int>(*flags.GetInt("jobs"));
-  Aggregate aggregate = RunReplicated(config, reps, jobs, jobs);
+  Aggregate aggregate = RunReplicated(config, reps, jobs);
 
   if (*flags.GetBool("json")) {
     JsonWriter json;
