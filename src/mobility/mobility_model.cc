@@ -51,18 +51,26 @@ size_t MobilityModel::LegIndexAt(Time t) {
       t <= legs_[cursor_].end) {
     return cursor_;
   }
+  cursor_ = FirstLegEndingAtOrAfter(t);
+  return cursor_;
+}
+
+size_t MobilityModel::FirstLegEndingAtOrAfter(Time t) {
   EnsureHorizon(t);
-  // Binary search: first leg whose end >= t.
   auto it = std::lower_bound(
       legs_.begin(), legs_.end(), t,
       [](const Leg& leg, Time value) { return leg.end < value; });
   assert(it != legs_.end());
-  cursor_ = static_cast<size_t>(it - legs_.begin());
-  return cursor_;
+  return static_cast<size_t>(it - legs_.begin());
 }
 
 Vec2 MobilityModel::PositionAtSlow(Time t) {
   return legs_[LegIndexAt(t)].PositionAt(t);
+}
+
+Vec2 MobilityModel::PositionOnFirstLegAt(Time t) {
+  assert(t >= 0.0 && "mobility queries require non-negative time");
+  return legs_[FirstLegEndingAtOrAfter(t)].PositionAt(t);
 }
 
 Vec2 MobilityModel::VelocityAt(Time t) {

@@ -68,6 +68,14 @@ class MobilityModel {
     return PositionAtSlow(t);
   }
 
+  /// Position at `t` on the first leg whose end >= t — the leg a
+  /// time-monotone sequence of PositionAt queries resolves `t` to — without
+  /// moving the cursor. A look back at a past time must neither depend on
+  /// nor disturb where later queries left the cursor: the cursor's
+  /// inclusive check would pick the later leg at an exact boundary, one ulp
+  /// away. Extends the trajectory if it does not cover `t` yet.
+  Vec2 PositionOnFirstLegAt(Time t);
+
   /// Exact velocity at time `t`. At a leg boundary, the later leg's
   /// velocity is reported.
   Vec2 VelocityAt(Time t);
@@ -101,6 +109,10 @@ class MobilityModel {
  private:
   /// Index of the leg containing time `t`, extending as needed.
   size_t LegIndexAt(Time t);
+
+  /// Index of the first leg whose end >= t, extending as needed; leaves
+  /// the cursor alone.
+  size_t FirstLegEndingAtOrAfter(Time t);
 
   /// General-path position query backing the inline fast path above.
   Vec2 PositionAtSlow(Time t);

@@ -52,7 +52,10 @@ Status Medium::AddNode(NodeId id, MobilityModel* mobility) {
   leg_from_y_.push_back(0.0);
   leg_to_x_.push_back(0.0);
   leg_to_y_.push_back(0.0);
-  index_time_ = -1.0;  // Force reindex: the node set changed.
+  ++online_count_;
+  // Force a new epoch from a fresh snapshot: the node set changed.
+  index_time_ = -1.0;
+  snapshot_time_ = -1.0;
   ++mutation_epoch_;
   return Status::Ok();
 }
@@ -67,10 +70,17 @@ Status Medium::SetReceiver(NodeId id, ReceiveHandler handler) {
 Status Medium::SetOnline(NodeId id, bool online) {
   const uint32_t index = IndexOf(id);
   if (index == kNotFound) return Status::NotFound("unknown node id");
-  // Index rebuilds skip offline nodes, so a node coming back must become
-  // queryable immediately: force a rebuild at the next query. Going
-  // offline needs none — queries filter on the live flag anyway.
-  if (online && !online_[index]) index_time_ = -1.0;
+  // Snapshot rebuilds skip offline nodes, so a node coming back must
+  // become queryable immediately: force a fresh snapshot at the next
+  // query. Going offline needs none — queries filter on the live flag
+  // anyway.
+  if (online && !online_[index]) {
+    index_time_ = -1.0;
+    snapshot_time_ = -1.0;
+  }
+  if (online != (online_[index] != 0)) {
+    online_count_ = online ? online_count_ + 1 : online_count_ - 1;
+  }
   online_[index] = online ? 1 : 0;
   ++mutation_epoch_;  // Invalidate the same-tick neighbour memo.
   return Status::Ok();
@@ -108,20 +118,27 @@ bool Medium::IsOnline(NodeId id) const {
 }
 
 // MADNET_HOT
+bool Medium::MirrorPositionAt(uint32_t index, Time t, Vec2* position) const {
+  const Time start = leg_start_[index];
+  const Time end = leg_end_[index];
+  if (!(start < t && t < end)) return false;
+  // Strictly inside the mirrored leg: that leg is the unique one containing
+  // `t` in its interior, and the expression below is the one
+  // Leg::PositionAt uses (interior times make its clamp a no-op), so this
+  // is bit-identical to asking the model.
+  const double s = (t - start) / (end - start);
+  position->x =
+      leg_from_x_[index] + (leg_to_x_[index] - leg_from_x_[index]) * s;
+  position->y =
+      leg_from_y_[index] + (leg_to_y_[index] - leg_from_y_[index]) * s;
+  return true;
+}
+
+// MADNET_HOT
 Vec2 Medium::CachedPositionAt(uint32_t index, Time now) const {
   if (pos_time_[index] == now) return Vec2{pos_x_[index], pos_y_[index]};
   Vec2 position;
-  const Time start = leg_start_[index];
-  const Time end = leg_end_[index];
-  if (start < now && now < end) {
-    // Strictly inside the mirrored leg: that leg is the unique one
-    // containing `now` in its interior, and the expression below is the
-    // one Leg::PositionAt uses (interior times make its clamp a no-op),
-    // so this is bit-identical to asking the model.
-    const double s = (now - start) / (end - start);
-    position.x = leg_from_x_[index] + (leg_to_x_[index] - leg_from_x_[index]) * s;
-    position.y = leg_from_y_[index] + (leg_to_y_[index] - leg_from_y_[index]) * s;
-  } else {
+  if (!MirrorPositionAt(index, now, &position)) {
     position = mobility_[index]->PositionAt(now);
     if (const mobility::Leg* leg = mobility_[index]->CursorLeg()) {
       leg_start_[index] = leg->start;
@@ -154,36 +171,118 @@ Vec2 Medium::VelocityOf(NodeId id) const {
 double Medium::RefreshIndex() const {
   const Time now = simulator_->Now();
   if (index_time_ < 0.0 || now - index_time_ > options_.reindex_interval_s) {
-    // The index stores dense node indices (cast through NodeId), so query
-    // results feed straight into the state arrays without a hash lookup
-    // per hit.
-    const size_t n = ids_.size();
-    rebuild_id_scratch_.clear();
-    rebuild_x_scratch_.clear();
-    rebuild_y_scratch_.clear();
-    rebuild_id_scratch_.reserve(n);
-    rebuild_x_scratch_.reserve(n);
-    rebuild_y_scratch_.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      // Offline nodes are excluded: under heavy churn they would bloat
-      // every query's candidate set just to be filtered out one by one.
-      // SetOnline(…, true) forces a rebuild, so exclusion never hides a
-      // node that has come back.
-      if (!online_[i]) continue;
-      const Vec2 position = CachedPositionAt(i, now);
-      rebuild_id_scratch_.push_back(i);
-      rebuild_x_scratch_.push_back(position.x);
-      rebuild_y_scratch_.push_back(position.y);
-    }
-    index_.Rebuild(rebuild_id_scratch_, rebuild_x_scratch_,
-                   rebuild_y_scratch_);
+    if (!SnapshotServes(now)) RebuildSnapshot(now);
     index_time_ = now;
+    epoch_walked_ = 0;
+    stats_.index_epochs += 1;
   }
-  // Indexed positions are up to (now - index_time_) old; both endpoints of a
+  // Epoch positions are up to (now - index_time_) old; both endpoints of a
   // distance check may each have moved max_speed * staleness, so a query
   // enlarged by twice that is a guaranteed superset.
-  MADNET_DCHECK_GE(simulator_->Now(), index_time_);  // Slack must be >= 0.
-  return 2.0 * options_.max_speed_mps * (simulator_->Now() - index_time_);
+  MADNET_DCHECK_GE(now, index_time_);  // Slack must be >= 0.
+  return 2.0 * options_.max_speed_mps * (now - index_time_);
+}
+
+bool Medium::SnapshotServes(Time epoch) const {
+  if (snapshot_time_ < 0.0) return false;
+  // After a dense epoch (flooding, CSMA storms) lazy queries would walk
+  // more candidates than a rebuild evaluates positions: rebuild instead.
+  if (epoch_walked_ > online_count_ / 8) return false;
+  const double drift = options_.max_speed_mps * (epoch - snapshot_time_);
+  if (drift > options_.range_m) return false;
+  // Online nodes only went offline since the snapshot (coming online
+  // invalidates it), so each sits within `drift` of a snapshot point. If
+  // that region fits the configured grid for the current online count, the
+  // epoch's own rebuild would not have coarsened, and lazy queries may
+  // order candidates by configured-size cells.
+  return index_.BaseGridFitsWithin(drift, online_count_);
+}
+
+// MADNET_HOT
+void Medium::RebuildSnapshot(Time now) const {
+  // The index stores dense node indices (cast through NodeId), so query
+  // results feed straight into the state arrays without a hash lookup per
+  // hit.
+  const size_t n = ids_.size();
+  rebuild_id_scratch_.clear();
+  rebuild_x_scratch_.clear();
+  rebuild_y_scratch_.clear();
+  rebuild_id_scratch_.reserve(n);
+  rebuild_x_scratch_.reserve(n);
+  rebuild_y_scratch_.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    // Offline nodes are excluded: under heavy churn they would bloat every
+    // query's candidate set just to be filtered out one by one.
+    // SetOnline(…, true) invalidates the snapshot, so exclusion never hides
+    // a node that has come back.
+    if (!online_[i]) continue;
+    const Vec2 position = CachedPositionAt(i, now);
+    rebuild_id_scratch_.push_back(i);
+    rebuild_x_scratch_.push_back(position.x);
+    rebuild_y_scratch_.push_back(position.y);
+  }
+  index_.Rebuild(rebuild_id_scratch_, rebuild_x_scratch_, rebuild_y_scratch_);
+  snapshot_time_ = now;
+  stats_.index_refreshes += 1;
+  stats_.index_positions += rebuild_id_scratch_.size();
+}
+
+// MADNET_HOT
+Vec2 Medium::EpochPositionOf(uint32_t index) const {
+  Vec2 position;
+  if (MirrorPositionAt(index, index_time_, &position)) return position;
+  return mobility_[index]->PositionOnFirstLegAt(index_time_);
+}
+
+// MADNET_HOT
+void Medium::CollectEpochCandidates(const Vec2& center,
+                                    double index_radius) const {
+  // Every node passing the epoch prefilter was within index_radius of
+  // `center` at the epoch and has moved at most `drift` since the
+  // snapshot. The pad only widens the walk, so rounding in the positions
+  // or the distance test can add candidates but never lose one.
+  const double drift = options_.max_speed_mps * (index_time_ - snapshot_time_);
+  const double reach = index_radius + drift;
+  const double pad =
+      1e-9 * (1.0 + std::abs(center.x) + std::abs(center.y) + reach);
+  snapshot_scratch_.clear();
+  index_.QueryRange(center, reach + pad, &snapshot_scratch_);
+  epoch_walked_ += snapshot_scratch_.size();
+
+  // The epoch index's QueryRange(center, index_radius): the cells of its
+  // box (unclamped — the epoch grid spans every epoch position), then the
+  // same squared-distance prefilter on epoch positions.
+  const int64_t lo_cx = index_.BaseCellCoord(center.x - index_radius);
+  const int64_t hi_cx = index_.BaseCellCoord(center.x + index_radius);
+  const int64_t lo_cy = index_.BaseCellCoord(center.y - index_radius);
+  const int64_t hi_cy = index_.BaseCellCoord(center.y + index_radius);
+  const double r2 = index_radius * index_radius;
+  epoch_scratch_.clear();
+  for (NodeId candidate : snapshot_scratch_) {
+    const uint32_t index = static_cast<uint32_t>(candidate);
+    if (!online_[index]) continue;
+    const Vec2 position = EpochPositionOf(index);
+    stats_.index_positions += 1;
+    const double dx = position.x - center.x;
+    const double dy = position.y - center.y;
+    if (dx * dx + dy * dy > r2) continue;
+    const int64_t cx = index_.BaseCellCoord(position.x);
+    const int64_t cy = index_.BaseCellCoord(position.y);
+    if (cx < lo_cx || cx > hi_cx || cy < lo_cy || cy > hi_cy) continue;
+    epoch_scratch_.push_back({cx, cy, index});
+  }
+  // The epoch rebuild's walk order: cells in (x, y) order, and within a
+  // cell the stable insertion order of ascending dense index.
+  std::sort(epoch_scratch_.begin(), epoch_scratch_.end(),
+            [](const EpochCandidate& a, const EpochCandidate& b) {
+              if (a.cx != b.cx) return a.cx < b.cx;
+              if (a.cy != b.cy) return a.cy < b.cy;
+              return a.index < b.index;
+            });
+  candidate_scratch_.clear();
+  for (const EpochCandidate& c : epoch_scratch_) {
+    candidate_scratch_.push_back(c.index);
+  }
 }
 
 // MADNET_HOT
@@ -202,8 +301,14 @@ const std::vector<uint32_t>& Medium::NeighborIndicesOf(const Vec2& center,
     return neighbor_scratch_;
   }
   const double slack = RefreshIndex();
-  candidate_scratch_.clear();
-  index_.QueryRange(center, radius + slack, &candidate_scratch_);
+  if (snapshot_time_ == index_time_) {
+    // The snapshot was taken at the epoch time: it is the epoch index.
+    candidate_scratch_.clear();
+    index_.QueryRange(center, radius + slack, &candidate_scratch_);
+    epoch_walked_ += candidate_scratch_.size();
+  } else {
+    CollectEpochCandidates(center, radius + slack);
+  }
 
   const double r2 = radius * radius;
   neighbor_scratch_.clear();
@@ -230,88 +335,6 @@ std::vector<NodeId> Medium::NeighborsOf(const Vec2& center,
   result.reserve(indices.size());
   for (uint32_t index : indices) result.push_back(ids_[index]);
   return result;
-}
-
-void Medium::QueryNeighbors(const std::vector<RangeQuery>& queries,
-                            NeighborBatch* out) const {
-  out->offsets.clear();
-  out->ids.clear();
-  out->offsets.reserve(queries.size() + 1);
-  out->offsets.push_back(0);
-  if (queries.empty()) return;
-  const double slack = RefreshIndex();
-  const Time now = simulator_->Now();
-  stats_.batch_queries += queries.size();
-
-  // Sort query order by grid cell box so runs of queries covering the
-  // same buckets share one walk; ties keep input order (deterministic).
-  const size_t count = queries.size();
-  batch_order_scratch_.resize(count);
-  for (uint32_t i = 0; i < count; ++i) batch_order_scratch_[i] = i;
-  std::sort(batch_order_scratch_.begin(), batch_order_scratch_.end(),
-            [&](uint32_t a, uint32_t b) {
-              const SpatialIndex::CellBox box_a =
-                  index_.BoxFor(queries[a].center, queries[a].radius + slack);
-              const SpatialIndex::CellBox box_b =
-                  index_.BoxFor(queries[b].center, queries[b].radius + slack);
-              if (box_a.lo_cx != box_b.lo_cx) return box_a.lo_cx < box_b.lo_cx;
-              if (box_a.lo_cy != box_b.lo_cy) return box_a.lo_cy < box_b.lo_cy;
-              if (box_a.hi_cx != box_b.hi_cx) return box_a.hi_cx < box_b.hi_cx;
-              if (box_a.hi_cy != box_b.hi_cy) return box_a.hi_cy < box_b.hi_cy;
-              return a < b;
-            });
-
-  batch_span_scratch_.assign(count, {0, 0});
-  batch_id_scratch_.clear();
-  SpatialIndex::CellBox walk_box;
-  bool have_walk = false;
-  for (uint32_t qi : batch_order_scratch_) {
-    const RangeQuery& query = queries[qi];
-    MADNET_DCHECK(query.radius >= 0.0 && std::isfinite(query.radius));
-    MADNET_DCHECK(std::isfinite(query.center.x) &&
-                  std::isfinite(query.center.y));
-    const SpatialIndex::CellBox box =
-        index_.BoxFor(query.center, query.radius + slack);
-    if (!have_walk || !(box == walk_box)) {
-      walk_id_scratch_.clear();
-      walk_x_scratch_.clear();
-      walk_y_scratch_.clear();
-      index_.CollectBox(box, &walk_id_scratch_, &walk_x_scratch_,
-                        &walk_y_scratch_);
-      walk_box = box;
-      have_walk = true;
-    } else {
-      stats_.batch_walk_reuse += 1;
-    }
-    // Same filter chain as NeighborIndicesOf: indexed-distance superset
-    // prefilter, then online + live-position exact filter, in walk order.
-    const double query_r2 = query.radius * query.radius;
-    const double index_radius = query.radius + slack;
-    const double index_r2 = index_radius * index_radius;
-    const uint32_t begin = static_cast<uint32_t>(batch_id_scratch_.size());
-    for (size_t k = 0; k < walk_id_scratch_.size(); ++k) {
-      const double dx = walk_x_scratch_[k] - query.center.x;
-      const double dy = walk_y_scratch_[k] - query.center.y;
-      if (dx * dx + dy * dy > index_r2) continue;
-      const uint32_t index = static_cast<uint32_t>(walk_id_scratch_[k]);
-      if (!online_[index]) continue;
-      if (DistanceSquared(CachedPositionAt(index, now), query.center) <=
-          query_r2) {
-        batch_id_scratch_.push_back(ids_[index]);
-      }
-    }
-    batch_span_scratch_[qi] = {begin,
-                               static_cast<uint32_t>(batch_id_scratch_.size())};
-  }
-
-  // Assemble results back into input query order.
-  out->ids.reserve(batch_id_scratch_.size());
-  for (size_t i = 0; i < count; ++i) {
-    const auto [begin, end] = batch_span_scratch_[i];
-    out->ids.insert(out->ids.end(), batch_id_scratch_.begin() + begin,
-                    batch_id_scratch_.begin() + end);
-    out->offsets.push_back(static_cast<uint32_t>(out->ids.size()));
-  }
 }
 
 uint32_t Medium::AcquireFrame(const Packet& packet, NodeId from,

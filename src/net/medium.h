@@ -61,13 +61,14 @@ struct MediumStats {
   uint64_t dropped_jammed = 0;      ///< Receiver was inside a jammed zone.
   uint64_t dropped_mac_busy = 0;    ///< CSMA: frame gave up after retries.
   uint64_t mac_defers = 0;          ///< CSMA: busy-channel backoffs taken.
-  // Batched/memoized neighbour-query instrumentation (medium.batch_* in
-  // the obs metrics output).
-  uint64_t batch_queries = 0;     ///< Queries answered via QueryNeighbors.
-  uint64_t batch_walk_reuse = 0;  ///< Batch queries that reused the previous
-                                  ///< query's bucket walk.
   uint64_t batch_memo_hits = 0;   ///< Same-tick repeat queries served from
                                   ///< the neighbour memo.
+  // Exact spatial-index work (medium.index_* in the obs metrics output).
+  uint64_t index_epochs = 0;      ///< Index epochs started.
+  uint64_t index_refreshes = 0;   ///< Full snapshot rebuilds.
+  uint64_t index_positions = 0;   ///< Positions evaluated for indexing: one
+                                  ///< per online node per snapshot rebuild,
+                                  ///< plus one per lazy epoch candidate.
   uint64_t arena_frames_peak = 0;  ///< Frame-arena in-flight high water.
 };
 
@@ -118,24 +119,6 @@ class Medium {
   using BroadcastObserver =
       std::function<void(NodeId from, const Packet&, const Vec2& origin)>;
 
-  /// One range query in a QueryNeighbors batch.
-  struct RangeQuery {
-    Vec2 center;
-    double radius = 0.0;
-  };
-
-  /// Flat result set of a QueryNeighbors batch: query i's neighbours are
-  /// ids[offsets[i]] .. ids[offsets[i] + CountOf(i)), in input query
-  /// order, element-wise identical to calling NeighborsOf per query at
-  /// the same instant.
-  struct NeighborBatch {
-    std::vector<uint32_t> offsets;  ///< queries.size() + 1 entries.
-    std::vector<NodeId> ids;        ///< Flat results, grouped per query.
-    size_t CountOf(size_t query) const {
-      return offsets[query + 1] - offsets[query];
-    }
-  };
-
   /// The medium schedules deliveries on `simulator` and draws jitter/loss
   /// from `rng`. Both must outlive the medium.
   Medium(const Options& options, Simulator* simulator, Rng rng);
@@ -168,20 +151,11 @@ class Medium {
   /// Current velocity of a node.
   Vec2 VelocityOf(NodeId id) const;
 
-  /// Ids of online nodes within `radius` of `center` right now (exact).
-  /// Allocates the result vector on every call: for external/test use
-  /// only. Internal hot paths use the scratch-backed NeighborIndicesOf;
-  /// batched callers use QueryNeighbors.
+  /// Ids of online nodes within `radius` of `center` right now (exact),
+  /// in the order broadcasts enumerate receivers. Allocates the result
+  /// vector on every call: for external/test use only. Internal hot paths
+  /// use the scratch-backed NeighborIndicesOf.
   std::vector<NodeId> NeighborsOf(const Vec2& center, double radius) const;
-
-  /// Answers every range query against a single index refresh. Queries
-  /// are sorted internally by grid cell so queries whose boxes coincide
-  /// share one bucket walk; results come back in input order and are
-  /// element-wise identical to sequential NeighborsOf calls at the same
-  /// instant. `out` is cleared and reused (its capacity persists across
-  /// batches).
-  void QueryNeighbors(const std::vector<RangeQuery>& queries,
-                      NeighborBatch* out) const;
 
   /// Installs (or clears, with nullptr) the per-broadcast observer.
   void SetBroadcastObserver(BroadcastObserver observer) {
@@ -269,17 +243,43 @@ class Medium {
   /// (positions are pure functions of time, so caching is exact).
   Vec2 CachedPositionAt(uint32_t index, Time now) const;
 
-  /// Rebuilds the spatial index if stale, and returns the slack to add to
-  /// query radii so stale entries still yield a superset.
+  /// Writes node `index`'s position at `t` from its mirrored leg and
+  /// returns true iff `t` lies strictly inside that leg.
+  bool MirrorPositionAt(uint32_t index, Time t, Vec2* position) const;
+
+  /// Starts a new index epoch if the current one is stale (refreshing the
+  /// snapshot only when it can no longer serve the epoch), and returns the
+  /// slack to add to query radii so epoch positions still yield a superset.
   double RefreshIndex() const;
 
-  /// Dense indices of online nodes within `radius` of `center`, in index
-  /// insertion order. Returns a reference to a per-medium scratch buffer:
-  /// valid until the next call, so callers must finish iterating (and not
-  /// trigger nested neighbour queries) before any other medium call that
-  /// queries neighbours. Repeat same-tick queries with the same center
-  /// and radius (one gossip round broadcasts every cached ad from one
-  /// spot) are served from a memo without touching the index.
+  /// True iff the snapshot can answer queries of an epoch starting at
+  /// `epoch`: valid, drifted by at most range_m, a grid the epoch's own
+  /// rebuild would not coarsen, and the previous epoch walked at most an
+  /// eighth of the online nodes.
+  bool SnapshotServes(Time epoch) const;
+
+  /// Full rebuild of the snapshot from every online node at `now`.
+  void RebuildSnapshot(Time now) const;
+
+  /// Position of node `index` at the epoch time index_time_, without
+  /// touching the per-tick cache or the model's cursor: the mirrored leg
+  /// when the epoch lies strictly inside it, else the first leg ending at
+  /// or after it — what the epoch's own rebuild evaluated.
+  Vec2 EpochPositionOf(uint32_t index) const;
+
+  /// Fills candidate_scratch_ with exactly the candidates, in exactly the
+  /// order, that QueryRange(center, index_radius) would return on an index
+  /// rebuilt at the epoch time: snapshot candidates within an enlarged
+  /// radius, evaluated at the epoch, prefiltered, sorted by (cell, index).
+  void CollectEpochCandidates(const Vec2& center, double index_radius) const;
+
+  /// Dense indices of online nodes within `radius` of `center`, in the
+  /// epoch index's walk order. Returns a reference to a per-medium scratch
+  /// buffer: valid until the next call, so callers must finish iterating
+  /// (and not trigger nested neighbour queries) before any other medium
+  /// call that queries neighbours. Repeat same-tick queries with the same
+  /// center and radius (one gossip round broadcasts every cached ad from
+  /// one spot) are served from a memo without touching the index.
   const std::vector<uint32_t>& NeighborIndicesOf(const Vec2& center,
                                                  double radius) const;
 
@@ -361,8 +361,14 @@ class Medium {
   mutable std::vector<double> leg_to_y_;
 
   std::unordered_map<NodeId, uint32_t> index_of_;  // id -> index.
+  uint32_t online_count_ = 0;
+  // Lazy epoch index (docs/architecture.md, "Hot path layout"): index_
+  // holds a snapshot of online positions taken at snapshot_time_ <=
+  // index_time_, the current epoch's time; -1 marks either invalid.
   mutable SpatialIndex index_;
   mutable Time index_time_ = -1.0;
+  mutable Time snapshot_time_ = -1.0;
+  mutable uint64_t epoch_walked_ = 0;  // Candidates walked this epoch.
   mutable MediumStats stats_;    // Mutable: query paths count cache hits.
   double extra_loss_ = 0.0;      // Episode loss added by the fault layer.
   std::vector<Rect> jam_zones_;  // Active jammer rectangles (usually 0-1).
@@ -401,13 +407,15 @@ class Medium {
   mutable std::vector<double> rebuild_y_scratch_;
   mutable std::vector<NodeId> candidate_scratch_;
   mutable std::vector<uint32_t> neighbor_scratch_;
-  // Batch-query scratch (QueryNeighbors).
-  mutable std::vector<uint32_t> batch_order_scratch_;
-  mutable std::vector<NodeId> walk_id_scratch_;
-  mutable std::vector<double> walk_x_scratch_;
-  mutable std::vector<double> walk_y_scratch_;
-  mutable std::vector<NodeId> batch_id_scratch_;
-  mutable std::vector<std::pair<uint32_t, uint32_t>> batch_span_scratch_;
+  // Lazy-epoch scratch: snapshot candidates, and the ones that pass the
+  // epoch prefilter keyed for the walk-order sort.
+  struct EpochCandidate {
+    int64_t cx;
+    int64_t cy;
+    uint32_t index;
+  };
+  mutable std::vector<NodeId> snapshot_scratch_;
+  mutable std::vector<EpochCandidate> epoch_scratch_;
 };
 
 }  // namespace madnet::net

@@ -20,22 +20,21 @@ namespace {
 constexpr int64_t kMinGridCells = 1024;
 constexpr int64_t kCellsPerPoint = 8;
 
+int64_t MaxGridCells(size_t points) {
+  return std::max<int64_t>(kMinGridCells,
+                           kCellsPerPoint * static_cast<int64_t>(points));
+}
+
+bool GridFits(int64_t width, int64_t height, int64_t max_cells) {
+  return width <= max_cells && height <= max_cells &&
+         width * height <= max_cells;
+}
+
 }  // namespace
 
 SpatialIndex::SpatialIndex(double cell_size)
     : cell_size_(cell_size), grid_cell_size_(cell_size) {
   MADNET_DCHECK(cell_size > 0.0 && std::isfinite(cell_size));
-}
-
-int64_t SpatialIndex::CellCoord(double v) const {
-  // floor() via truncating cast + negative adjustment: identical to
-  // std::floor for every finite quotient that fits in int64 (coordinates
-  // are metre-scale, so quotients are nowhere near the limit), without the
-  // libm call this hot path would otherwise pay per point.
-  const double q = v / grid_cell_size_;
-  int64_t k = static_cast<int64_t>(q);
-  k -= static_cast<int64_t>(q < static_cast<double>(k));
-  return k;
 }
 
 void SpatialIndex::Rebuild(
@@ -75,8 +74,7 @@ void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
   // cell size until the dense grid fits the cap (pure function of the
   // input, so rebuilds stay deterministic).
   grid_cell_size_ = cell_size_;
-  const int64_t max_cells =
-      std::max<int64_t>(kMinGridCells, kCellsPerPoint * static_cast<int64_t>(n));
+  const int64_t max_cells = MaxGridCells(n);
   cx_scratch_.resize(n);
   cy_scratch_.resize(n);
   for (;;) {
@@ -104,7 +102,7 @@ void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
     }
     const int64_t width = hi_cx - lo_cx + 1;
     const int64_t height = hi_cy - lo_cy + 1;
-    if (width <= max_cells && height <= max_cells && width * height <= max_cells) {
+    if (GridFits(width, height, max_cells)) {
       min_cx_ = lo_cx;
       min_cy_ = lo_cy;
       width_ = width;
@@ -134,6 +132,22 @@ void SpatialIndex::Rebuild(const std::vector<NodeId>& ids,
     xs_[at] = xs[i];
     ys_[at] = ys[i];
   }
+}
+
+bool SpatialIndex::BaseGridFitsWithin(double margin, size_t points) const {
+  if (width_ == 0 || height_ == 0 || grid_cell_size_ != cell_size_) {
+    return false;
+  }
+  // Every indexed coordinate lies in [min * cell, (min + width) * cell) up
+  // to rounding; one spare cell on each side absorbs that rounding.
+  const auto extent = [&](int64_t min_cell, int64_t cells) {
+    const double lo = static_cast<double>(min_cell) * cell_size_ - margin;
+    const double hi =
+        static_cast<double>(min_cell + cells) * cell_size_ + margin;
+    return (BaseCellCoord(hi) + 1) - (BaseCellCoord(lo) - 1) + 1;
+  };
+  return GridFits(extent(min_cx_, width_), extent(min_cy_, height_),
+                  MaxGridCells(points));
 }
 
 SpatialIndex::CellBox SpatialIndex::BoxFor(const Vec2& center,

@@ -1,9 +1,10 @@
 // Copyright (c) 2026 madnet authors. All rights reserved.
 //
 // Uniform-grid spatial index over node positions. The broadcast medium
-// rebuilds it periodically (virtual time) and range-queries it on every
-// transmission; exact distance filtering happens on live positions, so the
-// index only needs to return a superset (see Medium for the slack logic).
+// keeps one as a snapshot, rebuilt only now and then (virtual time), and
+// range-queries it on every transmission; exact distance filtering happens
+// on live positions, so the index only needs to return a superset (see
+// Medium for the slack logic and the lazy epoch index built on top).
 //
 // Layout: each Rebuild counting-sorts the points into a dense grid over
 // their bounding box — `cell_start_` holds prefix offsets per cell and
@@ -30,7 +31,7 @@ class SpatialIndex {
  public:
   /// The grid cells covering one query's bounding box, clamped to the
   /// cells that exist in the current rebuild. Two queries with equal
-  /// boxes walk exactly the same buckets (see Medium::QueryNeighbors).
+  /// boxes walk exactly the same buckets.
   struct CellBox {
     int64_t lo_cx = 0;
     int64_t lo_cy = 0;
@@ -76,8 +77,31 @@ class SpatialIndex {
   /// Number of indexed points.
   size_t Size() const { return ids_.size(); }
 
+  /// Cell coordinate of `v` on the configured (uncoarsened) grid: the
+  /// coordinate a Rebuild that keeps the configured cell size files a point
+  /// at `v` under. Queries walk cells in (x, y) coordinate order.
+  int64_t BaseCellCoord(double v) const { return FloorCell(v, cell_size_); }
+
+  /// True iff a Rebuild over `points` points, each within `margin` metres
+  /// of a point indexed now, would keep the configured cell size.
+  /// Conservative: false whenever the current grid cannot tell (empty, or
+  /// already coarsened).
+  bool BaseGridFitsWithin(double margin, size_t points) const;
+
  private:
-  int64_t CellCoord(double v) const;
+  /// floor(v / cell) via truncating cast + negative adjustment: identical
+  /// to std::floor for every finite quotient that fits in int64
+  /// (coordinates are metre-scale, so quotients are nowhere near the
+  /// limit), without the libm call this hot path would otherwise pay per
+  /// point.
+  static int64_t FloorCell(double v, double cell) {
+    const double q = v / cell;
+    int64_t k = static_cast<int64_t>(q);
+    k -= static_cast<int64_t>(q < static_cast<double>(k));
+    return k;
+  }
+
+  int64_t CellCoord(double v) const { return FloorCell(v, grid_cell_size_); }
 
   double cell_size_;       // Configured cell edge.
   double grid_cell_size_;  // Effective edge this rebuild (doubled from

@@ -310,12 +310,13 @@ void Scenario::CaptureMetrics(const RunResult& result) {
   *metrics.Counter("net.dropped_jammed") += result.net.dropped_jammed;
   *metrics.Counter("net.dropped_mac_busy") += result.net.dropped_mac_busy;
   *metrics.Counter("net.mac_defers") += result.net.mac_defers;
-  // Hot-path instrumentation: batched/memoized neighbour queries and the
-  // frame arena (peaks sum across replications — divide by scenario.runs
-  // for a mean per-run high water).
-  *metrics.Counter("medium.batch_queries") += result.net.batch_queries;
-  *metrics.Counter("medium.batch_walk_reuse") += result.net.batch_walk_reuse;
+  // Hot-path instrumentation: memoized neighbour queries, exact spatial
+  // index work and the frame arena (peaks sum across replications — divide
+  // by scenario.runs for a mean per-run high water).
   *metrics.Counter("medium.batch_memo_hits") += result.net.batch_memo_hits;
+  *metrics.Counter("medium.index_epochs") += result.net.index_epochs;
+  *metrics.Counter("medium.index_refreshes") += result.net.index_refreshes;
+  *metrics.Counter("medium.index_positions") += result.net.index_positions;
   *metrics.Counter("medium.arena_frames_peak") += result.net.arena_frames_peak;
   if (injector_ != nullptr) {
     *metrics.Counter("fault.node_downs") += result.fault.node_downs;

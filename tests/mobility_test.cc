@@ -147,6 +147,32 @@ TEST(MobilityModelTest, NonMonotonicQueriesWork) {
   }
 }
 
+TEST(MobilityModelTest, FirstLegLookupIgnoresAndKeepsCursor) {
+  // Interpolating the first leg at its end lands one ulp short of where
+  // the second leg starts, so the two candidate legs differ at the
+  // boundary.
+  const Time boundary = 40.0;
+  const Leg first{0.0, boundary, {674.48, 300.0}, {181.843, 300.0}};
+  const Leg second{boundary, 100.0, {181.843, 300.0}, {181.843, 400.0}};
+  ASSERT_NE(first.PositionAt(boundary), second.PositionAt(boundary));
+  StatusOr<Trace> trace = Trace::FromLegs({first, second});
+  ASSERT_TRUE(trace.ok());
+  TraceReplay model(std::move(trace).value());
+  // Park the cursor on the later leg: its inclusive check would answer the
+  // boundary from `second`.
+  model.PositionAt(70.0);
+  ASSERT_EQ(model.CursorLeg(), &model.legs()[1]);
+  EXPECT_EQ(model.PositionAt(boundary), second.PositionAt(boundary));
+  EXPECT_EQ(model.PositionOnFirstLegAt(boundary), first.PositionAt(boundary));
+  EXPECT_EQ(model.CursorLeg(), &model.legs()[1]);  // Cursor untouched.
+  // Interior times match the leg; times past the horizon extend it.
+  EXPECT_EQ(model.PositionOnFirstLegAt(10.0), first.PositionAt(10.0));
+  const Vec2 extended = model.PositionOnFirstLegAt(500.0);
+  EXPECT_GE(model.legs().back().end, 500.0);
+  EXPECT_EQ(extended, (Vec2{181.843, 400.0}));
+  EXPECT_EQ(model.CursorLeg(), &model.legs()[1]);
+}
+
 TEST(CrossingsTest, MatchesDenseSampling) {
   // Property: analytic area-crossing intervals agree with dense sampling.
   RandomWaypoint::Options options;

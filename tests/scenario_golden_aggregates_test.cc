@@ -15,6 +15,7 @@
 // only the event count pin below moved.
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <string>
@@ -164,6 +165,32 @@ TEST(GoldenAggregatesTest, PureGossipEventCount) {
   const RunResult result =
       RunScenario(GoldenConfig(Method::kGossip, Condition::kPlain));
   EXPECT_EQ(result.events_executed, 13292u);
+  // Exact spatial-index work of the same run: snapshot rebuilds, and the
+  // positions they and the lazy epochs between them evaluated.
+  EXPECT_EQ(result.net.index_refreshes, 201u);
+  EXPECT_EQ(result.net.index_positions, 41980u);
+}
+
+TEST(GoldenAggregatesTest, SparseArenaIndexWork) {
+  // 20k peers at Table II density (300 per 5 km square) around a 3 km ad:
+  // gossip lives near the ad, so index work must scale with the queries
+  // there, not with epochs x peers as a per-epoch full rebuild would.
+  ScenarioConfig config = ScenarioConfig::PaperDefaults();
+  config.method = Method::kGossip;
+  config.num_peers = 20000;
+  config.area_size_m = 5000.0 * std::sqrt(config.num_peers / 300.0);
+  config.issue_location = {config.area_size_m / 2.0, config.area_size_m / 2.0};
+  config.initial_radius_m = 3000.0;
+  config.issue_time_s = 5.0;
+  config.sim_time_s = 120.0;
+  config.seed = 2;
+  const RunResult result = RunScenario(config);
+  EXPECT_EQ(result.net.messages_sent, 1718u);
+  EXPECT_EQ(result.net.index_epochs, 103u);
+  EXPECT_EQ(result.net.index_refreshes, 7u);
+  EXPECT_EQ(result.net.index_positions, 152160u);
+  EXPECT_LT(result.net.index_positions * 5,
+            result.net.index_epochs * static_cast<uint64_t>(config.num_peers));
 }
 
 TEST(GoldenAggregatesTest, MultiAdGossip) {

@@ -175,7 +175,11 @@ TEST(MultiAdConfigTest, RejectsNegativeStallsAndZipf) {
 class MultiAdIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/madnet_multi_ad_test.cfg";
+    // Per-test file name: ctest -j runs these cases as separate processes
+    // concurrently, and a shared path makes them race on each other's data.
+    path_ = ::testing::TempDir() + "/madnet_multi_ad_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".cfg";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -22,7 +22,11 @@ std::string ReadFile(const std::string& path) {
 class CsvWriterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/madnet_csv_test.csv";
+    // Per-test file name: ctest -j runs these cases as separate processes
+    // concurrently, and a shared path makes them race on each other's data.
+    path_ = ::testing::TempDir() + "/madnet_csv_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
