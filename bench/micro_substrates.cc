@@ -47,6 +47,48 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
 
+// Hold model: a steady population of pending events; each step pops the
+// earliest and reschedules it at the popped time plus an offset drawn from
+// a Figure 7 traffic mix (measured split in src/sim/event_queue.h):
+// per-receiver deliveries 0.5-2 ms ahead, flooding relays up to 0.2 s,
+// gossip rounds and entry timers up to one 5 s round, Opt-2 postpones
+// 16-64 s. Unlike BM_EventQueuePushPop's fill-then-drain over 1000 s, pops
+// are mostly deliveries while the pending set is mostly timers, as in a
+// run. Args: mix (0 flooding, 1 gossip, 2 optimized), pending population.
+void BM_EventQueueHold(benchmark::State& state) {
+  // Cumulative thresholds of one uniform draw, by offset kind.
+  struct Mix {
+    double delivery, relay, round;  // The rest are postpones.
+  };
+  static constexpr Mix kMixes[] = {
+      {0.944, 1.0, 1.0},    // Flooding: deliveries and relays.
+      {0.84, 0.84, 1.0},    // Gossip: deliveries and rounds.
+      {0.23, 0.23, 0.97},   // Optimized: mostly entry timers.
+  };
+  const Mix mix = kMixes[state.range(0)];
+  const int population = static_cast<int>(state.range(1));
+  Rng rng(5);
+  auto offset = [&rng, &mix] {
+    const double u = rng.NextDouble();
+    if (u < mix.delivery) return rng.Uniform(0.5e-3, 2.0e-3);
+    if (u < mix.relay) return rng.Uniform(0.0, 0.2);
+    if (u < mix.round) return rng.Uniform(0.0, 5.0);
+    return rng.Uniform(16.0, 64.0);
+  };
+  sim::EventQueue queue;
+  for (int i = 0; i < population; ++i) queue.Push(offset(), [] {});
+  for (auto _ : state) {
+    auto [when, callback] = queue.Pop();
+    queue.Push(when + offset(), std::move(callback));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)
+    ->Args({0, 100})
+    ->Args({0, 1000})
+    ->Args({1, 1000})
+    ->Args({2, 1000});
+
 void BM_SpatialIndexRebuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(3);

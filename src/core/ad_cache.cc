@@ -77,11 +77,4 @@ void AdCache::ForEach(const std::function<void(uint64_t, CacheEntry&)>& fn) {
   for (auto& [key, entry] : entries_) fn(key, entry);
 }
 
-std::vector<uint64_t> AdCache::Keys() const {
-  std::vector<uint64_t> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) keys.push_back(key);
-  return keys;
-}
-
 }  // namespace madnet::core

@@ -40,7 +40,7 @@ class AdCache {
     // Linear scan of the flat key index: the cache is top-k bounded (k is
     // ~10 in the paper), so scanning a dense key array beats walking the
     // map. The map stays the owner — its key-sorted iteration order is
-    // part of the determinism contract (ForEach/Keys feed RNG draws) —
+    // part of the determinism contract (ForEach/EraseIf feed RNG draws) —
     // while the side index only accelerates point lookups.
     for (size_t i = 0; i < index_keys_.size(); ++i) {
       if (index_keys_[i] == key) return index_values_[i];
@@ -69,9 +69,20 @@ class AdCache {
   /// collect expired ads). Mutation of entries is allowed; erasure is not.
   void ForEach(const std::function<void(uint64_t, CacheEntry&)>& fn);
 
-  /// Keys of all entries, in ascending key order. Safe to erase while
-  /// iterating the returned snapshot.
-  std::vector<uint64_t> Keys() const;
+  /// Visits every entry in ascending key order, erasing those for which
+  /// `fn(key, entry)` returns true (read the entry's timer inside `fn`;
+  /// the entry is gone afterwards). Allocates nothing.
+  template <typename Fn>
+  void EraseIf(Fn&& fn) {
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (fn(it->first, it->second)) {
+        IndexRemove(it->first);
+        it = entries_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
 
   size_t Size() const { return entries_.size(); }
   size_t Capacity() const { return capacity_; }
@@ -86,7 +97,7 @@ class AdCache {
   void IndexRemove(uint64_t key);
 
   size_t capacity_;
-  // Ordered on purpose: ForEach/Keys iterate this map and their visit order
+  // Ordered on purpose: ForEach/EraseIf iterate this map and their visit order
   // feeds RNG draws (opportunistic_gossip), so iteration must be identical
   // across platforms and standard-library versions — std::map's key order
   // is; a hash map's bucket order is not (rule madnet-unordered-iteration).

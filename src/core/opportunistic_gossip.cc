@@ -54,10 +54,12 @@ StatusOr<AdId> OpportunisticGossip::Issue(const AdContent& content,
 }
 
 void OpportunisticGossip::OnCrash() {
-  for (uint64_t key : cache_.Keys()) {
-    const sim::EventId timer = cache_.Erase(key);
-    if (timer != sim::kInvalidEventId) context_.simulator->Cancel(timer);
-  }
+  cache_.EraseIf([this](uint64_t /*key*/, CacheEntry& entry) {
+    if (entry.timer != sim::kInvalidEventId) {
+      context_.simulator->Cancel(entry.timer);
+    }
+    return true;
+  });
 }
 
 void OpportunisticGossip::OnRejoin() {
@@ -87,15 +89,16 @@ double OpportunisticGossip::ProbabilityFor(const Advertisement& ad) const {
 
 void OpportunisticGossip::RefreshCache() {
   const Time now = Now();
-  for (uint64_t key : cache_.Keys()) {
-    CacheEntry* entry = cache_.Find(key);
-    if (entry->ad.ExpiredAt(now)) {
-      const sim::EventId timer = cache_.Erase(key);
-      if (timer != sim::kInvalidEventId) context_.simulator->Cancel(timer);
-      continue;
+  cache_.EraseIf([this, now](uint64_t /*key*/, CacheEntry& entry) {
+    if (entry.ad.ExpiredAt(now)) {
+      if (entry.timer != sim::kInvalidEventId) {
+        context_.simulator->Cancel(entry.timer);
+      }
+      return true;
     }
-    entry->probability = ProbabilityFor(entry->ad);
-  }
+    entry.probability = ProbabilityFor(entry.ad);
+    return false;
+  });
 }
 
 void OpportunisticGossip::GossipRound() {

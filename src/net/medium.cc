@@ -164,7 +164,21 @@ Vec2 Medium::PositionOf(NodeId id) const {
 Vec2 Medium::VelocityOf(NodeId id) const {
   const uint32_t index = IndexOf(id);
   MADNET_DCHECK(index != kNotFound);  // VelocityOf on unknown node.
-  return mobility_[index]->VelocityAt(simulator_->Now());
+  const Time now = simulator_->Now();
+  const Time start = leg_start_[index];
+  const Time end = leg_end_[index];
+  if (start < now && now < end) {
+    // Strictly inside the mirrored leg, the one leg containing `now`:
+    // Leg::Velocity's arithmetic on the mirrored fields. The model's
+    // cursor already sits on this leg (the mirror is refreshed from it,
+    // and time only moves forward), so skipping VelocityAt leaves it
+    // where the model call would. Boundaries take the model path and its
+    // later-leg rule.
+    const Time d = end - start;
+    return Vec2{(leg_to_x_[index] - leg_from_x_[index]) / d,
+                (leg_to_y_[index] - leg_from_y_[index]) / d};
+  }
+  return mobility_[index]->VelocityAt(now);
 }
 
 // MADNET_HOT

@@ -277,6 +277,8 @@ RunResult Scenario::Run() {
   result.net = medium_->stats();
   if (injector_ != nullptr) result.fault = injector_->stats();
   result.events_executed = simulator_.ExecutedEvents();
+  result.queue_pops = simulator_.QueuePops();
+  result.queue_depth_sum = simulator_.QueueDepthSum();
 
   // Ranking evidence: the most-enlarged surviving copy of the ad.
   for (const auto& protocol : protocols_) {
@@ -301,6 +303,8 @@ void Scenario::CaptureMetrics(const RunResult& result) {
   obs::MetricsRegistry& metrics = obs_->metrics;
   *metrics.Counter("scenario.runs") += 1;
   *metrics.Counter("sim.events_executed") += result.events_executed;
+  *metrics.Counter("sim.queue_pops") += result.queue_pops;
+  *metrics.Counter("sim.queue_depth_sum") += result.queue_depth_sum;
   *metrics.Counter("net.messages_sent") += result.net.messages_sent;
   *metrics.Counter("net.bytes_sent") += result.net.bytes_sent;
   *metrics.Counter("net.deliveries") += result.net.deliveries;

@@ -32,6 +32,8 @@ struct RunResult {
   fault::FaultStats fault;        ///< Injected-fault counters (all zero
                                   ///< when the config's plan is disabled).
   uint64_t events_executed = 0;   ///< Simulator events (sanity/efficiency).
+  uint64_t queue_pops = 0;        ///< Event-queue pops (exact queue work).
+  uint64_t queue_depth_sum = 0;   ///< Near-heap size summed over those pops.
   uint64_t ad_key = 0;            ///< The issued advertisement's key.
   double final_rank = 0.0;        ///< FM rank estimate at end of run (0 when
                                   ///< ranking is off or the ad vanished).

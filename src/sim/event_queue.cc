@@ -3,6 +3,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/logging.h"
@@ -50,77 +51,108 @@ void EventQueue::HeapPop() {
   near_[i] = last;
 }
 
-void EventQueue::RedistributeOverflow() {
-  std::vector<Entry> keep;
-  int64_t new_min = std::numeric_limits<int64_t>::max();
-  for (const Entry& entry : overflow_) {
-    if (state_[entry.seq - 1] == kCancelled) {
-      state_[entry.seq - 1] = kDone;
-      TakeSlot(entry.slot);
-      continue;
-    }
-    const int64_t e = EpochOf(entry.when);
-    if (e <= cur_epoch_) {
-      HeapPush(entry);  // Defensive; the window never passes overflow.
-    } else if (static_cast<uint64_t>(e) - static_cast<uint64_t>(cur_epoch_) <
-               static_cast<uint64_t>(kRingSize)) {
-      ring_[static_cast<uint64_t>(e) & (kRingSize - 1)].push_back(entry);
-      ++ring_count_;
-    } else {
-      // Only events scheduled beyond the ring window land here, and the
-      // epoch advance that triggers redistribution is rare by construction.
-      // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold branch.
-      keep.push_back(entry);
-      new_min = std::min(new_min, e);
-    }
+// MADNET_HOT
+void EventQueue::RingPush(const Entry& entry, int64_t e) {
+  const uint64_t bucket = static_cast<uint64_t>(e) & kRingMask;
+  uint32_t node = free_node_;
+  if (node != kNil) {
+    free_node_ = nodes_[node].next;
+  } else {
+    node = static_cast<uint32_t>(nodes_.size());
+    // Grows to the peak number of pending ring entries, then recycles.
+    // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) pool growth.
+    nodes_.push_back({});
   }
-  overflow_.swap(keep);
-  min_overflow_epoch_ = new_min;
+  uint64_t& word = occupied_[bucket >> 6];
+  const uint64_t bit = uint64_t{1} << (bucket & 63);
+  nodes_[node] = {entry, (word & bit) != 0 ? bucket_head_[bucket] : kNil};
+  bucket_head_[bucket] = node;
+  word |= bit;
+  ++ring_count_;
+}
+
+int64_t EventQueue::NextRingEpoch() const {
+  // Window invariant: the ring holds exactly the epochs in (cur_epoch_,
+  // cur_epoch_ + kRingSize), and cur_epoch_'s own bucket is empty. So the
+  // first set bit at or cyclically after cur_epoch_ + 1's bucket is the
+  // nearest epoch; the extra iteration revisits the start word's low bits.
+  const uint64_t start = static_cast<uint64_t>(cur_epoch_ + 1) & kRingMask;
+  size_t word = start >> 6;
+  uint64_t bits = occupied_[word] & (~uint64_t{0} << (start & 63));
+  for (size_t i = 0; i <= kOccupancyWords; ++i) {
+    if (bits != 0) {
+      const uint64_t bucket =
+          (uint64_t{word} << 6) | static_cast<uint64_t>(std::countr_zero(bits));
+      return cur_epoch_ + 1 +
+             static_cast<int64_t>((bucket - start) & kRingMask);
+    }
+    word = (word + 1) & (kOccupancyWords - 1);
+    bits = occupied_[word];
+  }
+  MADNET_DCHECK(false);  // ring_count_ > 0 with no occupied bucket.
+  return std::numeric_limits<int64_t>::max();
+}
+
+bool EventQueue::ReapIfCancelled(const Entry& entry) {
+  if (state_[entry.seq - 1] != kCancelled) return false;
+  state_[entry.seq - 1] = kDone;
+  TakeSlot(entry.slot);
+  return true;
+}
+
+void EventQueue::RedistributeOverflow() {
+  while (!overflow_.empty()) {
+    const Entry entry = overflow_.front();
+    const int64_t e = EpochOf(entry.when);
+    // The window never passes an overflow entry (AdvanceEpoch pulls them
+    // in first), so every overflow epoch is still ahead of cur_epoch_.
+    MADNET_DCHECK_GT(e, cur_epoch_);
+    if (!InRing(e)) break;
+    std::pop_heap(overflow_.begin(), overflow_.end(), After);
+    overflow_.pop_back();
+    if (!ReapIfCancelled(entry)) RingPush(entry, e);
+  }
 }
 
 void EventQueue::AdvanceEpoch() {
   for (;;) {
-    // Epoch of the next non-empty ring bucket. The window invariant (ring
-    // buckets hold exactly the epochs in (cur_epoch_, cur_epoch_ +
-    // kRingSize]) guarantees the scan terminates within kRingSize steps.
-    int64_t ring_epoch = std::numeric_limits<int64_t>::max();
-    if (ring_count_ > 0) {
-      for (int64_t e = cur_epoch_ + 1;; ++e) {
-        if (!ring_[static_cast<uint64_t>(e) & (kRingSize - 1)].empty()) {
-          ring_epoch = e;
-          break;
-        }
-      }
-    }
+    const bool ring_nonempty = ring_count_ > 0;
+    const int64_t ring_epoch = ring_nonempty
+                                   ? NextRingEpoch()
+                                   : std::numeric_limits<int64_t>::max();
     // Overflow entries may have become due as the window advanced; they
-    // must be pulled back in before the window moves past them.
-    if (!overflow_.empty() && min_overflow_epoch_ <= ring_epoch) {
-      if (ring_count_ == 0) {
+    // must join the ring before the window moves past them.
+    const int64_t overflow_epoch =
+        overflow_.empty() ? std::numeric_limits<int64_t>::max()
+                          : EpochOf(overflow_.front().when);
+    if (!overflow_.empty() && overflow_epoch <= ring_epoch) {
+      if (!ring_nonempty) {
         // Nothing nearer anywhere: jump the window to just before the
         // earliest overflow entry so redistribution lands it in the ring.
-        cur_epoch_ = std::max(cur_epoch_, min_overflow_epoch_ - 1);
+        cur_epoch_ = std::max(cur_epoch_, overflow_epoch - 1);
       }
       RedistributeOverflow();
-      if (!near_.empty()) return;
       if (ring_count_ == 0 && overflow_.empty()) return;  // All reaped.
       continue;
     }
-    if (ring_epoch == std::numeric_limits<int64_t>::max()) return;
+    if (!ring_nonempty) return;
     cur_epoch_ = ring_epoch;
-    std::vector<Entry>& bucket =
-        ring_[static_cast<uint64_t>(ring_epoch) & (kRingSize - 1)];
-    ring_count_ -= bucket.size();
-    for (const Entry& entry : bucket) {
+    const uint64_t bucket = static_cast<uint64_t>(ring_epoch) & kRingMask;
+    uint32_t node = bucket_head_[bucket];
+    uint32_t last = kNil;
+    while (node != kNil) {
+      const Entry& entry = nodes_[node].entry;
       // Cancelled entries are reaped here instead of being sifted through
       // the near heap just to be thrown away at the top.
-      if (state_[entry.seq - 1] == kCancelled) {
-        state_[entry.seq - 1] = kDone;
-        TakeSlot(entry.slot);
-      } else {
-        HeapPush(entry);
-      }
+      if (!ReapIfCancelled(entry)) HeapPush(entry);
+      --ring_count_;
+      last = node;
+      node = nodes_[node].next;
     }
-    bucket.clear();
+    // The whole list joins the free list in one splice.
+    nodes_[last].next = free_node_;
+    free_node_ = bucket_head_[bucket];
+    occupied_[bucket >> 6] &= ~(uint64_t{1} << (bucket & 63));
     return;
   }
 }
@@ -129,11 +161,8 @@ void EventQueue::AdvanceEpoch() {
 bool EventQueue::SettleTop() {
   for (;;) {
     if (!near_.empty()) {
-      const Entry& top = near_.front();
-      if (state_[top.seq - 1] != kCancelled) return true;
-      state_[top.seq - 1] = kDone;
-      TakeSlot(top.slot);  // Frees the cancelled callback now.
-      HeapPop();
+      if (!ReapIfCancelled(near_.front())) return true;
+      HeapPop();  // The cancelled callback was freed by the reap.
       continue;
     }
     if (ring_count_ == 0 && overflow_.empty()) return false;
@@ -164,16 +193,12 @@ EventId EventQueue::Push(Time when, Callback callback) {
     // Current (or past — a zero-delay reschedule) epoch: straight into the
     // near heap so SettleTop sees it.
     HeapPush(entry);
-  } else if (static_cast<uint64_t>(e) - static_cast<uint64_t>(cur_epoch_) <
-             static_cast<uint64_t>(kRingSize)) {
-    // NOLINTNEXTLINE(madnet-hot-alloc): amortized O(1) bucket growth;
-    // buckets are recycled every ring lap.
-    ring_[static_cast<uint64_t>(e) & (kRingSize - 1)].push_back(entry);
-    ++ring_count_;
+  } else if (InRing(e)) {
+    RingPush(entry, e);
   } else {
     // NOLINTNEXTLINE(madnet-hot-alloc): far-future events are rare.
     overflow_.push_back(entry);
-    min_overflow_epoch_ = std::min(min_overflow_epoch_, e);
+    std::push_heap(overflow_.begin(), overflow_.end(), After);
   }
   ++live_count_;
   return id;
@@ -218,6 +243,8 @@ std::pair<Time, EventQueue::Callback> EventQueue::Pop() {
   MADNET_DCHECK_GE(top.when, last_pop_time_);
   MADNET_DCHECK_EQ(state_[top.seq - 1], kPending);
   last_pop_time_ = top.when;
+  ++pops_;
+  depth_sum_ += near_.size();
   HeapPop();
   state_[top.seq - 1] = kDone;
   --live_count_;
@@ -226,10 +253,11 @@ std::pair<Time, EventQueue::Callback> EventQueue::Pop() {
 
 void EventQueue::Clear() {
   near_.clear();
-  for (std::vector<Entry>& bucket : ring_) bucket.clear();
+  nodes_.clear();
+  free_node_ = kNil;
+  occupied_.fill(0);
   ring_count_ = 0;
   overflow_.clear();
-  min_overflow_epoch_ = std::numeric_limits<int64_t>::max();
   cur_epoch_ = 0;
   slots_.clear();
   free_slots_.clear();
@@ -237,6 +265,8 @@ void EventQueue::Clear() {
   // nor linger); ids keep growing across Clear so old handles stay dead.
   std::fill(state_.begin(), state_.end(), kDone);
   live_count_ = 0;
+  pops_ = 0;
+  depth_sum_ = 0;
   last_pop_time_ = std::numeric_limits<Time>::lowest();
 }
 

@@ -87,6 +87,12 @@ class Simulator {
   /// Total events executed so far.
   uint64_t ExecutedEvents() const { return executed_; }
 
+  /// Exact event-queue work since construction or Reset(): events popped,
+  /// and the queue's near-heap size at each pop, summed (see
+  /// EventQueue::depth_sum). Their ratio is the mean depth a pop sifts.
+  uint64_t QueuePops() const { return queue_.pops(); }
+  uint64_t QueueDepthSum() const { return queue_.depth_sum(); }
+
   /// Drops all pending events and resets the clock to zero. The trace sink
   /// installed via SetTrace (if any) stays installed.
   void Reset();

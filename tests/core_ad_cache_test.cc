@@ -88,15 +88,32 @@ TEST(AdCacheTest, ForEachVisitsAllAndMutates) {
   EXPECT_EQ(count, 4);
 }
 
-TEST(AdCacheTest, KeysSnapshot) {
+TEST(AdCacheTest, EraseIfVisitsInKeyOrder) {
   AdCache cache(5);
   sim::EventId evicted;
-  cache.Insert(MakeEntry(1, 0.1), &evicted);
-  cache.Insert(MakeEntry(2, 0.2), &evicted);
-  auto keys = cache.Keys();
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(keys,
-            (std::vector<uint64_t>{AdId{1, 1}.Key(), AdId{1, 2}.Key()}));
+  for (uint32_t seq : {3u, 1u, 4u, 2u}) {
+    cache.Insert(MakeEntry(seq, 0.1 * seq), &evicted);
+  }
+  std::vector<uint64_t> visited;
+  cache.EraseIf([&](uint64_t key, CacheEntry& entry) {
+    visited.push_back(key);
+    entry.probability = 0.9;
+    return key == AdId{1, 2}.Key() || key == AdId{1, 4}.Key();
+  });
+  std::vector<uint64_t> sorted = visited;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(visited, sorted);  // Ascending key order, as ForEach.
+  EXPECT_EQ(visited.size(), 4u);
+  // Erased entries are gone from both the map and the Find index; the
+  // kept ones carry the mutation.
+  EXPECT_EQ(cache.Size(), 2u);
+  EXPECT_EQ(cache.Find(AdId{1, 2}.Key()), nullptr);
+  EXPECT_EQ(cache.Find(AdId{1, 4}.Key()), nullptr);
+  ASSERT_NE(cache.Find(AdId{1, 1}.Key()), nullptr);
+  EXPECT_DOUBLE_EQ(cache.Find(AdId{1, 3}.Key())->probability, 0.9);
+  int remaining = 0;
+  cache.ForEach([&](uint64_t, CacheEntry&) { ++remaining; });
+  EXPECT_EQ(remaining, 2);
 }
 
 TEST(AdCacheTest, CapacityOne) {

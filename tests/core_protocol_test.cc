@@ -183,6 +183,32 @@ TEST(FloodingTest, RelaysOncePerRound) {
   EXPECT_EQ(bed.medium_->stats().messages_sent, 6u);
 }
 
+TEST(FloodingTest, RecordsFirstReceiptOnlyAndNoneForTheIssuer) {
+  // Issuer + two relays in mutual range. The issuer hears both relays'
+  // copies of its own ad every round, but it holds the ad from Issue() on
+  // and records no receipt of it. Each relay records its first receipt,
+  // and later rounds' frames leave that receipt alone.
+  ProtocolTestBed bed;
+  const NodeId issuer = bed.AddStationary({0.0, 0.0});
+  bed.AddStationary({100.0, 0.0});
+  bed.AddStationary({200.0, 0.0});
+  bed.StartFlooding();
+  auto issued = bed.floods_[issuer]->Issue(PetrolAd(), 1000.0, 20.0);
+  ASSERT_TRUE(issued.ok());
+  const uint64_t key = issued->Key();
+  bed.sim_.RunUntil(1.0);
+  const double first_1 = bed.log_.FirstReceipt(key, 1);
+  const double first_2 = bed.log_.FirstReceipt(key, 2);
+  EXPECT_GT(first_1, 0.0);
+  EXPECT_GT(first_2, 0.0);
+  bed.sim_.RunUntil(100.0);
+  EXPECT_GE(bed.medium_->stats().messages_sent, 9u);  // Several rounds ran.
+  EXPECT_LT(bed.log_.FirstReceipt(key, issuer), 0.0);
+  EXPECT_EQ(bed.log_.FirstReceipt(key, 1), first_1);
+  EXPECT_EQ(bed.log_.FirstReceipt(key, 2), first_2);
+  EXPECT_EQ(bed.log_.ReceiverCount(key), 2u);
+}
+
 // ---------------------------------------------------------------- Gossip
 
 TEST(GossipTest, IssueSeedsNeighbours) {

@@ -428,5 +428,62 @@ TEST(MediumMovingTest, StaleIndexStillFindsMovingNodes) {
   EXPECT_GT(checks, 200);
 }
 
+TEST(MediumMovingTest, VelocityMatchesModelInsideAndAtLegBoundaries) {
+  // VelocityOf answers times strictly inside the mirrored leg from the
+  // medium's own arrays. That must be bit-identical to the model's
+  // VelocityAt, and at exact leg boundaries (the model's later-leg rule)
+  // the answer must still be the model's. The twin is queried at the same
+  // times only, so it has generated exactly as many legs as the medium's
+  // model; pauses of at least 1 s keep every leg non-degenerate, so its
+  // answer at a boundary does not depend on where its cursor sits.
+  Simulator sim;
+  Medium::Options options;
+  options.max_speed_mps = 30.0;
+  Medium medium(options, &sim, Rng(5));
+  RandomWaypoint::Options waypoint;
+  waypoint.area = Rect{{0.0, 0.0}, {500.0, 500.0}};
+  waypoint.min_speed_mps = 20.0;
+  waypoint.max_speed_mps = 30.0;
+  waypoint.min_pause_s = 1.0;
+  waypoint.max_pause_s = 3.0;
+  RandomWaypoint model(waypoint, Rng(77));
+  RandomWaypoint twin(waypoint, Rng(77));
+  RandomWaypoint schedule(waypoint, Rng(77));  // Source of the leg times.
+  ASSERT_TRUE(medium.AddNode(0, &model).ok());
+
+  const Time horizon = 120.0;
+  schedule.EnsureHorizon(horizon);
+  std::vector<Time> times;
+  int boundaries = 0;
+  for (const mobility::Leg& leg : schedule.legs()) {
+    if (leg.end > horizon) break;
+    ASSERT_GT(leg.Duration(), 0.0);
+    times.push_back(leg.start);  // Exact boundary (t = 0 for the first).
+    ++boundaries;
+    for (double f : {0.25, 0.5, 0.999}) {
+      times.push_back(leg.start + f * leg.Duration());
+    }
+  }
+  ASSERT_GT(boundaries, 20);
+
+  size_t checked = 0;
+  for (size_t i = 0; i < times.size(); ++i) {
+    const Time t = times[i];
+    // Every other query first refreshes the mirror through PositionOf;
+    // the rest meet whatever mirror the previous queries left.
+    const bool position_first = i % 2 == 0;
+    sim.ScheduleAt(t, [&, t, position_first] {
+      if (position_first) (void)medium.PositionOf(0);
+      const Vec2 got = medium.VelocityOf(0);
+      const Vec2 want = twin.VelocityAt(t);
+      EXPECT_EQ(got.x, want.x) << "t=" << t;
+      EXPECT_EQ(got.y, want.y) << "t=" << t;
+      ++checked;
+    });
+  }
+  sim.Run();
+  EXPECT_EQ(checked, times.size());
+}
+
 }  // namespace
 }  // namespace madnet::net

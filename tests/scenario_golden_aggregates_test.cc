@@ -169,6 +169,12 @@ TEST(GoldenAggregatesTest, PureGossipEventCount) {
   // positions they and the lazy epochs between them evaluated.
   EXPECT_EQ(result.net.index_refreshes, 201u);
   EXPECT_EQ(result.net.index_positions, 41980u);
+  // Exact event-queue work: one pop per event, and the near heap's size
+  // summed over the pops. With 0.5 s epochs the sum was 106855 (mean
+  // depth 8.04); the 1/64 s epoch holds only a few frames' deliveries
+  // (mean depth 2.21), so widening it again fails this deterministically.
+  EXPECT_EQ(result.queue_pops, 13292u);
+  EXPECT_EQ(result.queue_depth_sum, 29331u);
 }
 
 TEST(GoldenAggregatesTest, SparseArenaIndexWork) {
