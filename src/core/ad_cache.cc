@@ -56,10 +56,16 @@ CacheEntry* AdCache::Insert(CacheEntry entry, sim::EventId* evicted_timer) {
     IndexRemove(victim);
     entries_.erase(victim_it);
   }
+  // The receive path reaches Insert only for an ad the peer does not
+  // cache (once per ad, or again after an eviction), never for the
+  // duplicates that make up a broadcast storm.
+  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold branch, see above.
   auto [it, inserted] = entries_.emplace(key, std::move(entry));
   assert(inserted);
   (void)inserted;
+  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold branch, see above.
   index_keys_.push_back(key);
+  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold branch, see above.
   index_values_.push_back(&it->second);
   return &it->second;
 }

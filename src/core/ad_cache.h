@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "core/advertisement.h"
@@ -22,6 +23,12 @@ namespace madnet::core {
 /// One cached advertisement plus its scheduling state.
 struct CacheEntry {
   Advertisement ad;
+  /// Immutable on-air copy of the current version of `ad` and its wire
+  /// size, shared by every broadcast of that version. Null until a
+  /// broadcast needs it; reset whenever a merge changes R, D or the
+  /// sketches.
+  std::shared_ptr<const GossipMessage> snapshot;
+  uint32_t snapshot_bytes = 0;
   double probability = 0.0;       ///< Last refreshed forwarding probability.
   sim::Time next_gossip_time = 0; ///< Scheduled broadcast time (Opt-2 path).
   sim::EventId timer = sim::kInvalidEventId;  ///< Pending per-entry event.

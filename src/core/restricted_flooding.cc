@@ -2,16 +2,13 @@
 
 #include "core/restricted_flooding.h"
 
-#include "util/random.h"
-
 namespace madnet::core {
 
-namespace {
-/// Dedup key for (advertisement, flood round).
-uint64_t RelayKey(uint64_t ad_key, uint32_t round) {
-  return Mix64(ad_key ^ (static_cast<uint64_t>(round) * 0x9E3779B97F4A7C15ULL));
+void RestrictedFlooding::AdState::MarkRelayed(uint32_t round) {
+  const size_t word = round / 64;
+  if (word >= relayed_rounds.size()) relayed_rounds.resize(word + 1, 0);
+  relayed_rounds[word] |= uint64_t{1} << (round % 64);
 }
-}  // namespace
 
 RestrictedFlooding::RestrictedFlooding(ProtocolContext context,
                                        const Options& options)
@@ -22,7 +19,7 @@ StatusOr<AdId> RestrictedFlooding::Issue(const AdContent& content,
   Advertisement ad = MakeAdvertisement(content, radius_m, duration_s, {});
   const AdId id = ad.id;
   const uint64_t key = id.Key();
-  first_hop_.emplace(key, 0);  // The issuer's own copy is hop 0.
+  ads_.push_back(AdState{key, 0, {}});  // The issuer's own copy is hop 0.
   IssuingState& state = issuing_[key];
   state.ad = std::move(ad);
   // First broadcast immediately, then every round until expiry. The issuer
@@ -49,44 +46,69 @@ bool RestrictedFlooding::IssuerRound(uint64_t key) {
   }
   ++state.round;
   // The issuer implicitly "relays" its own frame this round.
-  relayed_.insert(RelayKey(key, state.round));
+  FindAd(key)->MarkRelayed(state.round);
   net::Packet packet = MakeFloodPacket(state.ad, state.round, radius_limit);
   packet.hop = 1;  // Issuer frames deliver direct neighbours at hop 1.
   Broadcast(packet);
   return true;
 }
 
+RestrictedFlooding::AdState* RestrictedFlooding::FirstSight(
+    uint64_t key, uint32_t hop, net::NodeId from) {
+  // Only the first receipt counts (time is monotone), as in gossip; the
+  // issuer holds its ad from Issue() on and records no receipt of it.
+  RecordReceipt(key);
+  TraceDeliver(key, hop, from);
+  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold, once per (ad, peer).
+  ads_.push_back(AdState{key, hop, {}});
+  return &ads_.back();
+}
+
+// MADNET_HOT
 void RestrictedFlooding::OnReceive(const net::Packet& packet,
                                    net::NodeId from) {
-  const auto* message = dynamic_cast<const FloodMessage*>(packet.payload.get());
+  const FloodMessage* message = PayloadAs<FloodMessage>(packet);
   if (message == nullptr) return;  // Not a flooding frame.
-
   const uint64_t ad_key = message->ad.id.Key();
-  const auto [hop_it, first_sight] = first_hop_.try_emplace(ad_key, packet.hop);
-  if (first_sight) {
-    // Only the first receipt counts (time is monotone), as in gossip; the
-    // issuer holds its ad from Issue() on and records no receipt of it.
-    RecordReceipt(ad_key);
-    TraceDeliver(ad_key, packet.hop, from);
-  }
+  AdState* state = FindAd(ad_key);
+  if (state == nullptr) state = FirstSight(ad_key, packet.hop, from);
+  // Duplicate of a round already relayed: by far the most common delivery
+  // in a broadcast storm, and it changes nothing.
+  if (state->Relayed(message->round)) return;
+  RelayRound(state, packet, *message);
+}
 
-  const uint64_t relay_key = RelayKey(ad_key, message->round);
-  if (!relayed_.insert(relay_key).second) return;  // Already relayed.
+void RestrictedFlooding::RelayRound(AdState* state, const net::Packet& packet,
+                                    const FloodMessage& message) {
+  state->MarkRelayed(message.round);
 
   // Relay only while inside the issuer-declared radius limit.
-  const double distance = Distance(Position(), message->ad.issue_location);
-  if (distance > message->radius_limit) return;
+  const double distance = Distance(Position(), message.ad.issue_location);
+  if (distance > message.radius_limit) return;
 
   const double jitter =
       context_.rng.Uniform(0.0, options_.relay_jitter_max_s);
-  // Copy the packet by value; the payload is shared and immutable. The
+  uint32_t slot;
+  if (free_relay_slots_.empty()) {
+    slot = static_cast<uint32_t>(relay_slots_.size());
+    relay_slots_.emplace_back();
+  } else {
+    slot = free_relay_slots_.back();
+    free_relay_slots_.pop_back();
+  }
+  // Park a copy of the packet; the payload is shared and immutable. The
   // relayed frame's hop count derives from *this* node's first receipt,
   // so every deliver record satisfies hop == parent's hop + 1 even when
   // a later round reaches us over a shorter path.
-  net::Packet copy = packet;
-  copy.hop = hop_it->second + 1;
-  context_.simulator->Schedule(jitter,
-                               [this, copy]() { Broadcast(copy); });
+  relay_slots_[slot] = packet;
+  relay_slots_[slot].hop = state->hop + 1;
+  context_.simulator->Schedule(jitter, [this, slot]() { FireRelay(slot); });
+}
+
+void RestrictedFlooding::FireRelay(uint32_t slot) {
+  const net::Packet packet = std::move(relay_slots_[slot]);
+  free_relay_slots_.push_back(slot);
+  Broadcast(packet);
 }
 
 }  // namespace madnet::core

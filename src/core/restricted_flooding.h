@@ -10,7 +10,7 @@
 #define MADNET_CORE_RESTRICTED_FLOODING_H_
 
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "core/propagation.h"
 #include "core/protocol.h"
@@ -49,16 +49,57 @@ class RestrictedFlooding : public Protocol {
     sim::PeriodicHandle timer;
   };
 
+  /// Relay state of one ad this node has seen or issued.
+  struct AdState {
+    uint64_t key = 0;
+    /// Hop count at first receipt (0 for an ad this node issued); drives
+    /// the deliver trace and the hop stamped on relayed frames.
+    uint32_t hop = 0;
+    /// Bit r is set once flood round r has been relayed (or, at the
+    /// issuer, broadcast).
+    std::vector<uint64_t> relayed_rounds;
+
+    bool Relayed(uint32_t round) const {
+      const size_t word = round / 64;
+      return word < relayed_rounds.size() &&
+             ((relayed_rounds[word] >> (round % 64)) & 1u) != 0;
+    }
+    void MarkRelayed(uint32_t round);
+  };
+
   /// One issuer broadcast cycle for one ad; returns false once expired.
   bool IssuerRound(uint64_t key);
 
+  /// The relay state of `key`, or nullptr before this node first saw it.
+  AdState* FindAd(uint64_t key) {
+    for (AdState& state : ads_) {
+      if (state.key == key) return &state;
+    }
+    return nullptr;
+  }
+
+  /// First receipt of an ad: records the receipt and the deliver trace,
+  /// and appends the ad's relay state.
+  AdState* FirstSight(uint64_t key, uint32_t hop, net::NodeId from);
+
+  /// First receipt of one flood round: marks it relayed and, inside the
+  /// frame's radius limit, schedules the jittered rebroadcast.
+  void RelayRound(AdState* state, const net::Packet& packet,
+                  const FloodMessage& message);
+
+  /// Rebroadcasts the frame parked in relay slot `slot` and frees the slot.
+  void FireRelay(uint32_t slot);
+
   Options options_;
   std::unordered_map<uint64_t, IssuingState> issuing_;
-  // Relay state: (ad key, round) pairs already forwarded.
-  std::unordered_set<uint64_t> relayed_;
-  // Hop count at first receipt per ad key (0 for ads this node issued);
-  // drives the deliver trace and the hop stamped on relayed frames.
-  std::unordered_map<uint64_t, uint32_t> first_hop_;
+  /// Per-ad relay state in first-sight order, found by a linear key scan:
+  /// a Figure 7 run has one ad, a multi-ad run a handful.
+  std::vector<AdState> ads_;
+  /// Frames waiting out their relay jitter. The scheduled callback
+  /// captures only `this` and a slot index, so it fits std::function's
+  /// inline buffer and a relay allocates nothing once the pool is warm.
+  std::vector<net::Packet> relay_slots_;
+  std::vector<uint32_t> free_relay_slots_;
 };
 
 }  // namespace madnet::core

@@ -34,6 +34,8 @@ struct RunResult {
   uint64_t events_executed = 0;   ///< Simulator events (sanity/efficiency).
   uint64_t queue_pops = 0;        ///< Event-queue pops (exact queue work).
   uint64_t queue_depth_sum = 0;   ///< Near-heap size summed over those pops.
+  uint64_t sketch_merges = 0;     ///< FM sketch-array merges, all nodes (0
+                                  ///< unless ranking is on).
   uint64_t ad_key = 0;            ///< The issued advertisement's key.
   double final_rank = 0.0;        ///< FM rank estimate at end of run (0 when
                                   ///< ranking is off or the ad vanished).
