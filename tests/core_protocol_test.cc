@@ -183,6 +183,26 @@ TEST(FloodingTest, RelaysOncePerRound) {
   EXPECT_EQ(bed.medium_->stats().messages_sent, 6u);
 }
 
+TEST(FloodingTest, OverlappingRoundsRelayEachRoundOnce) {
+  // Relay jitter (up to 1 s) far longer than the round (0.1 s): each node
+  // has several relays pending at once, and ~100 rounds run, past the
+  // first word of the relayed-round bitmap. Co-located nodes are always
+  // inside the radius limit, so every round is exactly one issuer frame
+  // plus one relay per node.
+  ProtocolTestBed bed;
+  for (int i = 0; i < 3; ++i) bed.AddStationary({0.0, 0.0});
+  RestrictedFlooding::Options options;
+  options.round_time_s = 0.1;
+  options.relay_jitter_max_s = 1.0;
+  bed.StartFlooding(options);
+  ASSERT_TRUE(bed.floods_[0]->Issue(PetrolAd(), 1000.0, 10.0).ok());
+  bed.sim_.RunUntil(30.0);
+  const uint64_t messages = bed.medium_->stats().messages_sent;
+  EXPECT_EQ(messages % 3, 0u);
+  EXPECT_GT(messages / 3, 64u);
+  EXPECT_EQ(bed.sim_.PendingEvents(), 0u);
+}
+
 TEST(FloodingTest, RecordsFirstReceiptOnlyAndNoneForTheIssuer) {
   // Issuer + two relays in mutual range. The issuer hears both relays'
   // copies of its own ad every round, but it holds the ad from Issue() on
@@ -388,6 +408,57 @@ TEST(GossipTest, NoInterestNoRankNoEnlargement) {
     EXPECT_DOUBLE_EQ(EstimatedRank(entry->ad), 0.0);
     EXPECT_DOUBLE_EQ(entry->ad.radius_m, 1000.0);
   }
+}
+
+TEST(GossipTest, UnrankedPeersShareTheSeedSnapshot) {
+  // Without ranking nothing changes a cached ad, so every peer caches the
+  // issuer's seed payload itself and rebroadcasts it without copying.
+  ProtocolTestBed bed;
+  for (int i = 0; i < 6; ++i) bed.AddStationary({i * 40.0, 0.0});
+  bed.StartGossip(GossipOptions::Pure());
+  auto issued = bed.gossips_[0]->Issue(PetrolAd(), 1000.0, 800.0);
+  ASSERT_TRUE(issued.ok());
+  bed.sim_.RunUntil(60.0);
+  const CacheEntry* issuer_entry = bed.gossips_[0]->cache().Find(issued->Key());
+  ASSERT_NE(issuer_entry, nullptr);
+  ASSERT_NE(issuer_entry->snapshot, nullptr);
+  for (const auto& g : bed.gossips_) {
+    const CacheEntry* entry = g->cache().Find(issued->Key());
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->snapshot, issuer_entry->snapshot);
+    EXPECT_EQ(entry->snapshot_bytes, entry->ad.WireSizeBytes());
+    EXPECT_EQ(g->sketch_merges(), 0u);
+  }
+}
+
+TEST(GossipTest, RankedSnapshotsTrackTheCachedVersion) {
+  // With ranking, merges grow the sketches and R/D; a snapshot that
+  // survives must still equal the cached ad it stands for.
+  GossipOptions options = GossipOptions::Pure();
+  options.ranking = true;
+  ProtocolTestBed bed;
+  for (int i = 0; i < 10; ++i) bed.AddStationary({i * 30.0, 0.0});
+  bed.StartGossip(options, InterestProfile({"petrol"}));
+  auto issued = bed.gossips_[0]->Issue(PetrolAd(), 1000.0, 800.0);
+  ASSERT_TRUE(issued.ok());
+  uint64_t merges = 0;
+  size_t snapshots = 0;
+  for (double t = 5.0; t <= 60.0; t += 5.0) {
+    bed.sim_.RunUntil(t);
+    for (const auto& g : bed.gossips_) {
+      const CacheEntry* entry = g->cache().Find(issued->Key());
+      if (entry == nullptr || entry->snapshot == nullptr) continue;
+      ++snapshots;
+      const Advertisement& shared = entry->snapshot->ad;
+      EXPECT_EQ(shared.radius_m, entry->ad.radius_m);
+      EXPECT_EQ(shared.duration_s, entry->ad.duration_s);
+      EXPECT_TRUE(shared.sketches == entry->ad.sketches);
+      EXPECT_EQ(entry->snapshot_bytes, entry->ad.WireSizeBytes());
+    }
+  }
+  for (const auto& g : bed.gossips_) merges += g->sketch_merges();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_GT(merges, 0u);
 }
 
 TEST(GossipTest, IgnoresForeignPayloads) {
