@@ -13,9 +13,7 @@ Protocol::Protocol(ProtocolContext context) : context_(std::move(context)) {
 }
 
 void Protocol::Start() {
-  Status status = context_.medium->SetReceiver(
-      context_.self, [this](const net::Packet& packet, net::NodeId from,
-                            net::NodeId /*to*/) { OnReceive(packet, from); });
+  Status status = context_.medium->SetReceiver(context_.self, this);
   assert(status.ok() && "node must be registered with the medium first");
   (void)status;
 }

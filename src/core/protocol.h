@@ -35,15 +35,15 @@ struct ProtocolContext {
   obs::Trace* trace = nullptr;
 };
 
-/// Abstract per-node advertising protocol.
-class Protocol {
+/// Abstract per-node advertising protocol: the node's net::Receiver.
+class Protocol : public net::Receiver {
  public:
   explicit Protocol(ProtocolContext context);
   virtual ~Protocol() = default;
   Protocol(const Protocol&) = delete;
   Protocol& operator=(const Protocol&) = delete;
 
-  /// Registers the receive upcall with the medium and starts any timers.
+  /// Registers this node's receiver with the medium and starts any timers.
   /// Call exactly once, before the simulation runs past the node's start.
   virtual void Start();
 
@@ -68,7 +68,7 @@ class Protocol {
 
  protected:
   /// Packet upcall; `from` is the transmitting node.
-  virtual void OnReceive(const net::Packet& packet, net::NodeId from) = 0;
+  void OnReceive(const net::Packet& packet, net::NodeId from) override = 0;
 
   /// Current virtual time.
   Time Now() const { return context_.simulator->Now(); }

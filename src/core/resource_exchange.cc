@@ -9,7 +9,9 @@ namespace madnet::core {
 
 ResourceExchange::ResourceExchange(ProtocolContext context,
                                    const Options& options)
-    : Protocol(std::move(context)), options_(options) {
+    : Protocol(std::move(context)),
+      options_(options),
+      beacon_(std::make_shared<const BeaconMessage>()) {
   assert(options.beacon_interval_s > 0.0);
   assert(options.memory_capacity >= 1);
   assert(options.age_weight >= 0.0 && options.distance_weight >= 0.0);
@@ -90,13 +92,14 @@ void ResourceExchange::Store(const Advertisement& ad) {
     }
     memory_.erase(victim);
   }
+  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold, once per new resource.
   memory_.emplace(ad.id.Key(), ad);
 }
 
 bool ResourceExchange::BeaconTick() {
   Prune();
   net::Packet beacon;
-  beacon.payload = std::make_shared<const BeaconMessage>();
+  beacon.payload = beacon_;
   beacon.size_bytes = 16;  // Node id + position.
   Broadcast(beacon);
   ++beacons_sent_;
@@ -126,11 +129,14 @@ void ResourceExchange::OnEncounter(net::NodeId from) {
   }
 
   // Send our most relevant resources, best first, as one batch frame.
+  // The allocations from here on are cold: once per new encounter, not
+  // per delivery.
   std::vector<const Advertisement*> ranked;
+  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold, see above.
   ranked.reserve(memory_.size());
   // The collected pointers are immediately re-sorted below under a total
   // order (relevance desc, then key asc), so hash order cannot leak out.
-  // NOLINTNEXTLINE(madnet-unordered-iteration): order-independent fold.
+  // NOLINTNEXTLINE(madnet-unordered-iteration,madnet-hot-transitive-alloc): order-independent fold; cold.
   for (const auto& [key, ad] : memory_) ranked.push_back(&ad);
   const Vec2 here = Position();
   std::sort(ranked.begin(), ranked.end(),
@@ -146,18 +152,23 @@ void ResourceExchange::OnEncounter(net::NodeId from) {
 
   std::vector<Advertisement> batch;
   std::vector<uint32_t> hops;
+  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold, see above.
   batch.reserve(ranked.size());
+  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold, see above.
   hops.reserve(ranked.size());
   uint32_t bytes = 8;  // Batch header.
   for (const Advertisement* ad : ranked) {
+    // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold, see above.
     batch.push_back(*ad);
     // Per-ad provenance: the receiver gets ads[i] one hop beyond our own
     // first receipt of it (0 if we issued it).
     const auto hop_it = first_hop_.find(ad->id.Key());
+    // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold, see above.
     hops.push_back(hop_it != first_hop_.end() ? hop_it->second + 1 : 1);
     bytes += ad->WireSizeBytes();
   }
   net::Packet packet;
+  // NOLINTNEXTLINE(madnet-hot-transitive-alloc): cold, see above.
   packet.payload = std::make_shared<const ExchangeMessage>(std::move(batch),
                                                           std::move(hops));
   packet.size_bytes = bytes;

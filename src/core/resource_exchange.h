@@ -20,6 +20,7 @@
 #ifndef MADNET_CORE_RESOURCE_EXCHANGE_H_
 #define MADNET_CORE_RESOURCE_EXCHANGE_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -106,6 +107,9 @@ class ResourceExchange : public Protocol {
   void Prune();
 
   Options options_;
+  /// The hello payload every beacon of this node shares: it carries
+  /// nothing, so one immutable copy serves the whole run.
+  std::shared_ptr<const BeaconMessage> beacon_;
   std::unordered_map<uint64_t, Advertisement> memory_;
   /// Hop count at first receipt per ad key (0 for ads this node issued).
   /// Survives OnCrash — like DeliveryLog, first-receipt bookkeeping fires

@@ -116,7 +116,8 @@ double MultiAdResult::MeanDeliveryTime() const {
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
-MultiAdResult RunMultiAdScenario(const MultiAdConfig& config) {
+MultiAdResult RunMultiAdScenario(const MultiAdConfig& config,
+                                 obs::Trace* trace) {
   Status valid = config.Validate();
   assert(valid.ok() && "invalid MultiAdConfig");
   (void)valid;
@@ -150,6 +151,8 @@ MultiAdResult RunMultiAdScenario(const MultiAdConfig& config) {
   const ScopedLogClock log_clock(simulator.NowHandle());
   Rng root(config.base.seed);
   net::Medium medium(config.base.medium, &simulator, root.Fork(0x4D414449));
+  simulator.SetTrace(trace);
+  medium.SetTrace(trace);
   stats::DeliveryLog log;
 
   // Issue locations, uniform with a border margin.
@@ -217,6 +220,7 @@ MultiAdResult RunMultiAdScenario(const MultiAdConfig& config) {
     context.medium = &medium;
     context.self = id;
     context.delivery_log = &log;
+    context.trace = trace;
     // Per-node protocol streams draw from the reserved range
     // [0x20000, 0x30000), mirroring scenario.cc.
     // NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x20000+node.

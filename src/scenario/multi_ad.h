@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
 #include "scenario/config.h"
 #include "scenario/scenario.h"
 #include "stats/delivery.h"
@@ -70,8 +71,11 @@ struct MultiAdResult {
 };
 
 /// Builds, runs and reports a multi-ad scenario. Node ids: issuers are
-/// 0..num_ads-1 (stationary at their ad's location), peers follow.
-MultiAdResult RunMultiAdScenario(const MultiAdConfig& config);
+/// 0..num_ads-1 (stationary at their ad's location), peers follow. An
+/// optional `trace` (borrowed) receives the simulator's, the medium's and
+/// the protocols' records, per its categories.
+MultiAdResult RunMultiAdScenario(const MultiAdConfig& config,
+                                 obs::Trace* trace = nullptr);
 
 // --- Multi-ad config files -------------------------------------------------
 //

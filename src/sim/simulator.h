@@ -8,10 +8,12 @@
 #ifndef MADNET_SIM_SIMULATOR_H_
 #define MADNET_SIM_SIMULATOR_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "obs/trace.h"
 #include "sim/event_queue.h"
@@ -41,6 +43,16 @@ class PeriodicHandle {
   std::shared_ptr<State> state_;
 };
 
+/// Bookkeeping an owner defers while events run and settles whenever the
+/// event loop returns (the medium's elided deliveries, net::Medium).
+class Settler {
+ public:
+  virtual void Settle() = 0;
+
+ protected:
+  ~Settler() = default;
+};
+
 /// Virtual-time event loop. Single-threaded; all callbacks run inline from
 /// Run()/Step() in timestamp order (FIFO among equal timestamps).
 class Simulator {
@@ -63,6 +75,35 @@ class Simulator {
 
   /// Cancels a pending event; false if it already ran or was cancelled.
   bool Cancel(EventId id) { return queue_.Cancel(id); }
+
+  /// Takes the id an event at absolute time `when` (>= Now()) would get if
+  /// scheduled now, without queueing it. The event may be queued later with
+  /// ScheduleReserved, or never: Run() still ends no earlier than `when`,
+  /// as if it had run.
+  EventId ReserveAt(Time when) {
+    assert(when >= now_ && "reserved events cannot lie in the past");
+    if (when > reserved_until_) reserved_until_ = when;
+    return queue_.Reserve();
+  }
+
+  /// Queues `callback` under an id from ReserveAt, at the time it was
+  /// reserved for; it runs exactly where it would have run had it been
+  /// scheduled at reservation. Requires the event not to be dispatched yet.
+  void ScheduleReserved(EventId id, Time when, EventQueue::Callback callback) {
+    queue_.PushReserved(id, when, std::move(callback));
+  }
+
+  /// True iff the event keyed (when, id) comes before the one executing
+  /// now in (time, id) order — between runs: iff `when` is not after the
+  /// clock. That is, iff it has been dispatched had it been queued.
+  bool Dispatched(Time when, EventId id) const {
+    return when < now_ || (when == now_ && id < dispatching_);
+  }
+
+  /// Registers (or removes) a settler, called whenever Step() or
+  /// RunUntil() returns. Not owned; must be removed before it dies.
+  void AddSettler(Settler* settler);
+  void RemoveSettler(Settler* settler);
 
   /// Runs a repeating event every `period` seconds (first firing after
   /// `initial_delay`). Returning false from the callback stops the series;
@@ -102,6 +143,11 @@ class Simulator {
   /// simulator or be cleared before it dies.
   void SetTrace(obs::Trace* trace) { trace_ = trace; }
 
+  /// True iff each executed event writes a kTraceEvent record.
+  bool TracesEvents() const {
+    return trace_ != nullptr && trace_->Enabled(obs::kTraceEvent);
+  }
+
   /// Bucket upper edges for the dispatch-gap telemetry (one overflow
   /// bucket sits above the last edge; see kDispatchGapBuckets).
   static constexpr double kDispatchGapBounds[8] = {1e-6, 1e-5, 1e-4, 1e-3,
@@ -139,8 +185,20 @@ class Simulator {
   /// Buckets one inter-event dispatch gap.
   void RecordDispatchGap(double gap);
 
+  /// Pops and runs the earliest pending event. Requires a pending event.
+  void Dispatch();
+
+  /// Marks every event up to the clock as dispatched and runs the
+  /// settlers: the event loop has returned.
+  void EndRun();
+
   EventQueue queue_;
   Time now_ = 0.0;
+  // Id of the executing event; the maximum between runs, when every
+  // event up to the clock has been dispatched.
+  EventId dispatching_ = std::numeric_limits<EventId>::max();
+  Time reserved_until_ = 0.0;  // Latest ReserveAt time.
+  std::vector<Settler*> settlers_;
   uint64_t executed_ = 0;
   obs::Trace* trace_ = nullptr;
   bool record_dispatch_gaps_ = false;

@@ -14,6 +14,7 @@
 #include "mobility/constant_velocity.h"
 #include "net/medium.h"
 #include "sim/simulator.h"
+#include "test_receiver.h"
 #include "stats/delivery.h"
 
 namespace madnet::core {
@@ -360,18 +361,12 @@ TEST(MediumEdgeTest, FadingDropsEdgeReceivers) {
   const NodeId edge_node = bed.AddStationary({245.0, 0.0});   // d/r = 0.98.
   int close_received = 0;
   int edge_received = 0;
-  ASSERT_TRUE(bed.medium_
-                  ->SetReceiver(close_node,
-                                [&](const net::Packet&, NodeId, NodeId) {
-                                  ++close_received;
-                                })
-                  .ok());
-  ASSERT_TRUE(bed.medium_
-                  ->SetReceiver(edge_node,
-                                [&](const net::Packet&, NodeId, NodeId) {
-                                  ++edge_received;
-                                })
-                  .ok());
+  net::CallbackReceiver close_receiver(
+      [&](const net::Packet&, NodeId) { ++close_received; });
+  net::CallbackReceiver edge_receiver(
+      [&](const net::Packet&, NodeId) { ++edge_received; });
+  ASSERT_TRUE(bed.medium_->SetReceiver(close_node, &close_receiver).ok());
+  ASSERT_TRUE(bed.medium_->SetReceiver(edge_node, &edge_receiver).ok());
   const int sends = 2000;
   for (int i = 0; i < sends; ++i) {
     net::Packet packet;

@@ -12,6 +12,7 @@
 #include "mobility/constant_velocity.h"
 #include "net/medium.h"
 #include "sim/simulator.h"
+#include "test_receiver.h"
 #include "util/random.h"
 
 namespace madnet::net {
@@ -46,17 +47,16 @@ class CsmaTest : public ::testing::Test {
       ASSERT_TRUE(
           medium_->AddNode(static_cast<NodeId>(i), mobilities_.back().get())
               .ok());
-      ASSERT_TRUE(
-          medium_
-              ->SetReceiver(static_cast<NodeId>(i),
-                            [this, i](const Packet& p, NodeId, NodeId) {
-                              const auto* tp =
-                                  dynamic_cast<const TestPayload*>(
-                                      p.payload.get());
-                              received_[i].push_back(tp ? tp->value : -1);
-                              receive_times_[i].push_back(sim_.Now());
-                            })
-              .ok());
+      receivers_.push_back(std::make_unique<CallbackReceiver>(
+          [this, i](const Packet& p, NodeId) {
+            const auto* tp = dynamic_cast<const TestPayload*>(p.payload.get());
+            received_[i].push_back(tp ? tp->value : -1);
+            receive_times_[i].push_back(sim_.Now());
+          }));
+      ASSERT_TRUE(medium_
+                      ->SetReceiver(static_cast<NodeId>(i),
+                                    receivers_.back().get())
+                      .ok());
     }
   }
 
@@ -64,6 +64,7 @@ class CsmaTest : public ::testing::Test {
   Medium::Options options_;
   std::unique_ptr<Medium> medium_;
   std::vector<std::unique_ptr<Stationary>> mobilities_;
+  std::vector<std::unique_ptr<CallbackReceiver>> receivers_;
   std::vector<std::vector<int>> received_;
   std::vector<std::vector<double>> receive_times_;
 };

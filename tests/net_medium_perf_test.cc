@@ -22,6 +22,7 @@
 #include "mobility/trace.h"
 #include "net/medium.h"
 #include "sim/simulator.h"
+#include "test_receiver.h"
 #include "util/random.h"
 
 namespace madnet::net {
@@ -498,13 +499,11 @@ TEST_F(LazyEpochIndexTest, CsmaTransmitEnumeratesReceiversInEpochOrder) {
   // reference order.
   Build(1500, 9000.0, /*csma=*/true);
   std::vector<NodeId> received;
+  std::vector<std::unique_ptr<CallbackReceiver>> receivers;
   for (NodeId id : medium_->node_ids()) {
-    ASSERT_TRUE(medium_
-                    ->SetReceiver(id, [&received](const Packet&, NodeId,
-                                                  NodeId to) {
-                      received.push_back(to);
-                    })
-                    .ok());
+    receivers.push_back(std::make_unique<CallbackReceiver>(
+        [&received, id](const Packet&, NodeId) { received.push_back(id); }));
+    ASSERT_TRUE(medium_->SetReceiver(id, receivers.back().get()).ok());
   }
   Rng rng(8);
   const Packet packet;

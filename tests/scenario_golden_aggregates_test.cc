@@ -270,19 +270,23 @@ TEST(GoldenAggregatesTest, PureGossipEventCount) {
   // Exact simulator work of gossip_plain. Rounds over an empty cache are
   // parked, not fired; with an always-on round timer this run executed 26091
   // events, so reintroducing idle rounds fails this deterministically.
+  // Duplicates a peer Ignores() are booked without an event: 7873 of the
+  // 8000 deliveries. Scheduling them again executed 13292 events.
   const RunResult result =
       RunScenario(GoldenConfig(Method::kGossip, Condition::kPlain));
-  EXPECT_EQ(result.events_executed, 13292u);
+  EXPECT_EQ(result.net.elided, 7873u);
+  EXPECT_EQ(result.events_executed, 5419u);
   // Exact spatial-index work of the same run: snapshot rebuilds, and the
   // positions they and the lazy epochs between them evaluated.
   EXPECT_EQ(result.net.index_refreshes, 201u);
   EXPECT_EQ(result.net.index_positions, 41980u);
   // Exact event-queue work: one pop per event, and the near heap's size
   // summed over the pops. With 0.5 s epochs the sum was 106855 (mean
-  // depth 8.04); the 1/64 s epoch holds only a few frames' deliveries
-  // (mean depth 2.21), so widening it again fails this deterministically.
-  EXPECT_EQ(result.queue_pops, 13292u);
-  EXPECT_EQ(result.queue_depth_sum, 29331u);
+  // depth 8.04) and with every delivery queued 29331 (2.21); the 1/64 s
+  // epoch holds only a few frames' deliveries, so widening it again fails
+  // this deterministically.
+  EXPECT_EQ(result.queue_pops, 5419u);
+  EXPECT_EQ(result.queue_depth_sum, 6493u);
 }
 
 TEST(GoldenAggregatesTest, SparseArenaIndexWork) {

@@ -108,6 +108,43 @@ TEST(SimulatorTest, ExecutedEventsCounts) {
   EXPECT_EQ(sim.ExecutedEvents(), 7u);
 }
 
+TEST(SimulatorTest, ReservedEventRunsInItsReservedPlace) {
+  // Three events at one instant: the middle one's id is reserved and only
+  // queued later, yet it still runs between the other two.
+  Simulator sim;
+  std::vector<int> order;
+  sim.ScheduleAt(1.0, [&] { order.push_back(0); });
+  const EventId reserved = sim.ReserveAt(1.0);
+  sim.ScheduleAt(1.0, [&] { order.push_back(2); });
+  sim.ScheduleAt(0.5, [&] {
+    EXPECT_FALSE(sim.Dispatched(1.0, reserved));
+    sim.ScheduleReserved(reserved, 1.0, [&] { order.push_back(1); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(sim.Dispatched(1.0, reserved));
+}
+
+TEST(SimulatorTest, DispatchedFollowsTimeThenId) {
+  Simulator sim;
+  const EventId before = sim.ReserveAt(2.0);
+  EventId running = kInvalidEventId;
+  running = sim.ScheduleAt(2.0, [&] {
+    EXPECT_TRUE(sim.Dispatched(1.999, running + 100));
+    EXPECT_TRUE(sim.Dispatched(2.0, before));
+    EXPECT_FALSE(sim.Dispatched(2.0, running + 1));
+    EXPECT_FALSE(sim.Dispatched(2.001, before));
+  });
+  const EventId after = sim.ReserveAt(3.0);
+  sim.RunUntil(2.5);
+  // Between runs every event up to the clock has been dispatched.
+  EXPECT_TRUE(sim.Dispatched(2.5, after));
+  EXPECT_FALSE(sim.Dispatched(3.0, after));
+  // An unbounded run ends no earlier than a reserved time.
+  sim.Run();
+  EXPECT_EQ(sim.Now(), 3.0);
+}
+
 TEST(SimulatorTest, ResetClearsEverything) {
   Simulator sim;
   sim.Schedule(1.0, [] {});
