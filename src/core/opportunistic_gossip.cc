@@ -256,10 +256,11 @@ void OpportunisticGossip::InsertReceived(const net::Packet& packet,
 }
 
 bool OpportunisticGossip::MayIgnore() const {
-  // Every duplicate writes a sketch record while that category is on.
+  // Every duplicate writes a sketch record while that category's text is
+  // on.
   return !options_.ranking && !options_.postpone &&
          (context_.trace == nullptr ||
-          !context_.trace->Enabled(obs::kTraceSketch));
+          !context_.trace->TextEnabled(obs::kTraceSketch));
 }
 
 // MADNET_HOT

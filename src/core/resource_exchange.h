@@ -68,7 +68,7 @@ class ResourceExchange : public Protocol {
   void Start() override;
 
   /// Issues a new resource: inserts it locally; it spreads via encounters.
-  [[nodiscard]] StatusOr<AdId> Issue(const AdContent& content, double radius_m,
+  StatusOr<AdId> Issue(const AdContent& content, double radius_m,
                        double duration_s) override;
 
   /// Crash-with-state-loss: resource memory and encounter bookkeeping are

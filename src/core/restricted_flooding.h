@@ -33,7 +33,7 @@ class RestrictedFlooding : public Protocol {
   /// Starts periodic flooding of a new ad from this node (the issuer
   /// role). A node may issue any number of concurrent ads; each floods on
   /// its own cycle until it expires.
-  [[nodiscard]] StatusOr<AdId> Issue(const AdContent& content, double radius_m,
+  StatusOr<AdId> Issue(const AdContent& content, double radius_m,
                        double duration_s) override;
 
   /// Number of ads this node is currently flooding.

@@ -3,6 +3,7 @@
 #include "exec/replication.h"
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,16 +11,29 @@
 #include "obs/run_context.h"
 #include "obs/session.h"
 #include "scenario/config_io.h"
+#include "scenario/multi_ad.h"
 #include "util/logging.h"
 
 namespace madnet::exec {
 
+using scenario::MultiAdConfig;
 using scenario::RunResult;
-using scenario::SaveConfigText;
 using scenario::ScenarioConfig;
 
-Aggregate RunReplicated(const ScenarioConfig& base, int replications,
-                        int jobs) {
+namespace {
+
+uint64_t& Seed(ScenarioConfig& config) { return config.seed; }
+uint64_t& Seed(MultiAdConfig& config) { return config.base.seed; }
+std::string ConfigText(const ScenarioConfig& config) {
+  return scenario::SaveConfigText(config);
+}
+std::string ConfigText(const MultiAdConfig& config) {
+  return scenario::SaveMultiAdConfigText(config);
+}
+
+/// `Config` is ScenarioConfig or MultiAdConfig.
+template <typename Config>
+Aggregate Replicate(const Config& base, int replications, int jobs) {
   MADNET_DCHECK_GE(replications, 1);
   obs::Session* session = obs::Session::Get();
 
@@ -35,15 +49,15 @@ Aggregate RunReplicated(const ScenarioConfig& base, int replications,
       session != nullptr ? results.size() : 0);
   ParallelFor(
       ResolveJobs(jobs), results.size(), [&](size_t i) {
-        ScenarioConfig config = base;
-        config.seed = base.seed + static_cast<uint64_t>(i);
+        Config config = base;
+        Seed(config) += static_cast<uint64_t>(i);
         auto run = [&](obs::RunContext* obs) {
           return scenario::Scenario(config, obs).Run();
         };
         if (session != nullptr) {
           auto context =
               std::make_unique<obs::RunContext>(session->options().trace);
-          context->ArmCrashDump(config.seed);
+          context->ArmCrashDump(Seed(config));
           // Per-replication wall clock, surfaced via the manifest's
           // "replication" phase (seconds summed, count = replications).
           obs::PhaseTimer replication_timer(context.get(), "replication");
@@ -56,9 +70,9 @@ Aggregate RunReplicated(const ScenarioConfig& base, int replications,
       });
   if (session != nullptr) {
     for (size_t i = 0; i < contexts.size(); ++i) {
-      ScenarioConfig config = base;
-      config.seed = base.seed + static_cast<uint64_t>(i);
-      session->AddRun(SaveConfigText(config), std::move(contexts[i]));
+      Config config = base;
+      Seed(config) += static_cast<uint64_t>(i);
+      session->AddRun(ConfigText(config), std::move(contexts[i]));
     }
   }
 
@@ -68,16 +82,35 @@ Aggregate RunReplicated(const ScenarioConfig& base, int replications,
   MADNET_DCHECK_EQ(results.size(), static_cast<size_t>(replications));
   Aggregate aggregate;
   for (const RunResult& result : results) {
-    aggregate.delivery_rate_percent.Add(result.DeliveryRatePercent());
-    if (result.report.peers_delivered > 0) {
-      aggregate.mean_delivery_time_s.Add(result.MeanDeliveryTime());
+    uint64_t passed = 0;
+    uint64_t delivered = 0;
+    for (const scenario::AdReport& ad : result.ads) {
+      passed += ad.report.peers_passed;
+      delivered += ad.report.peers_delivered;
+    }
+    aggregate.delivery_rate_percent.Add(
+        scenario::MeanDeliveryRatePercent(result.ads));
+    if (delivered > 0) {
+      aggregate.mean_delivery_time_s.Add(
+          scenario::MeanDeliveryTime(result.ads));
     }
     aggregate.messages.Add(static_cast<double>(result.Messages()));
-    aggregate.peers_passed.Add(
-        static_cast<double>(result.report.peers_passed));
+    aggregate.peers_passed.Add(static_cast<double>(passed));
     aggregate.final_rank.Add(result.final_rank);
   }
   return aggregate;
+}
+
+}  // namespace
+
+Aggregate RunReplicated(const ScenarioConfig& base, int replications,
+                        int jobs) {
+  return Replicate(base, replications, jobs);
+}
+
+Aggregate RunReplicated(const MultiAdConfig& base, int replications,
+                        int jobs) {
+  return Replicate(base, replications, jobs);
 }
 
 }  // namespace madnet::exec

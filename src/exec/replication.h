@@ -12,6 +12,7 @@
 #define MADNET_EXEC_REPLICATION_H_
 
 #include "scenario/config.h"
+#include "scenario/multi_ad.h"
 #include "scenario/scenario.h"
 #include "stats/summary.h"
 
@@ -48,6 +49,14 @@ struct Aggregate {
 /// contexts are handed to the session keyed by the replication's config
 /// text, so flushed traces/metrics are also byte-identical at any `jobs`.
 Aggregate RunReplicated(const scenario::ScenarioConfig& base,
+                        int replications, int jobs = 1);
+
+/// The same for a multi-ad config (seeds base.base.seed, ...). A run's
+/// delivery rate and time are its means over the ads
+/// (scenario::MeanDeliveryRatePercent / MeanDeliveryTime) and its passers
+/// are summed over them; for a single ad these are that ad's own, bit for
+/// bit.
+Aggregate RunReplicated(const scenario::MultiAdConfig& base,
                         int replications, int jobs = 1);
 
 }  // namespace madnet::exec

@@ -23,7 +23,7 @@ class Trace {
 
   /// Builds a trace from explicit legs. Legs must abut in time and space
   /// and start at time 0 (InvalidArgument otherwise).
-  [[nodiscard]] static StatusOr<Trace> FromLegs(std::vector<Leg> legs);
+  static StatusOr<Trace> FromLegs(std::vector<Leg> legs);
 
   const std::vector<Leg>& legs() const { return legs_; }
 

@@ -501,7 +501,7 @@ Status Medium::Broadcast(NodeId from, const Packet& packet) {
 bool Medium::Elides() const {
   return asks_receivers_ && plain_medium_ && extra_loss_ <= 0.0 &&
          jam_zones_.empty() &&
-         (trace_ == nullptr || !trace_->Enabled(obs::kTraceRx)) &&
+         (trace_ == nullptr || !trace_->TextEnabled(obs::kTraceRx)) &&
          !simulator_->TracesEvents();
 }
 

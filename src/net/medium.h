@@ -152,18 +152,18 @@ class Medium : public sim::Settler {
 
   /// Registers a node with its mobility model (borrowed; must outlive the
   /// medium). Returns AlreadyExists if the id is taken.
-  [[nodiscard]] Status AddNode(NodeId id, MobilityModel* mobility);
+  Status AddNode(NodeId id, MobilityModel* mobility);
 
   /// Sets the receiver `id`'s packets go to (borrowed; must outlive the
   /// medium's deliveries), or none with nullptr.
-  [[nodiscard]] Status SetReceiver(NodeId id, Receiver* receiver);
+  Status SetReceiver(NodeId id, Receiver* receiver);
 
   /// Marks a node on/off-line. Offline nodes neither send nor receive
   /// (the paper's issuer "goes off-line" after seeding the ad, and the
   /// fault layer's churn duty-cycles peers through here). Going offline
   /// recalls the node's elided deliveries, so each is decided at its own
   /// time like any scheduled one.
-  [[nodiscard]] Status SetOnline(NodeId id, bool online);
+  Status SetOnline(NodeId id, bool online);
 
   /// Puts every delivery to `id` that was elided because its receiver
   /// Ignores() the frame, and is not due yet, back into the event queue
@@ -179,7 +179,7 @@ class Medium : public sim::Settler {
   /// actually transmits; a frame that exhausts its MAC retries is counted
   /// in dropped_mac_busy instead). Returns FailedPrecondition if the
   /// sender is offline, NotFound if it was never added.
-  [[nodiscard]] Status Broadcast(NodeId from, const Packet& packet);
+  Status Broadcast(NodeId from, const Packet& packet);
 
   /// Current position of a node (exact, from its mobility model).
   Vec2 PositionOf(NodeId id) const;
@@ -340,8 +340,9 @@ class Medium : public sim::Settler {
 
   /// True iff deliveries may be elided now: some receiver MayIgnore(), the
   /// medium is plain (no CSMA, static loss, fading or collisions), no loss
-  /// episode or jam zone is active, and no trace would record the delivery
-  /// (rx, or event dispatch).
+  /// episode or jam zone is active, and no trace text would record the
+  /// delivery (rx, or event dispatch). A flight recorder does not count:
+  /// its ring keeps no notes of elided deliveries.
   bool Elides() const;
 
   /// One delivery elided at transmit time. Its frame stays in the arena

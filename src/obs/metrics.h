@@ -44,7 +44,7 @@ class FixedHistogram {
   /// mismatched bounds return InvalidArgument and leave this histogram
   /// unchanged (a silent misaligned sum would corrupt every quantile
   /// derived from it).
-  [[nodiscard]] Status MergeFrom(const FixedHistogram& other);
+  Status MergeFrom(const FixedHistogram& other);
 
   /// Folds `n_buckets` pre-bucketed counts (plus the sum of the raw
   /// observations behind them) into this histogram — for hot producers
@@ -52,8 +52,8 @@ class FixedHistogram {
   /// (e.g. the simulator's dispatch-gap telemetry). `n_buckets` must equal
   /// counts().size(), i.e. bounds().size() + 1 including the overflow
   /// bucket; a mismatch returns InvalidArgument and changes nothing.
-  [[nodiscard]] Status MergeBucketCounts(const uint64_t* counts,
-                                         size_t n_buckets, double sum);
+  Status MergeBucketCounts(const uint64_t* counts,
+                           size_t n_buckets, double sum);
 
   /// Estimates the q-quantile (q in [0, 1]) from the bucket counts by
   /// linear interpolation inside the bucket holding the target rank, with

@@ -16,8 +16,7 @@ std::unique_ptr<Session>& GlobalSession() {
   return session;
 }
 
-[[nodiscard]] Status WriteFile(const std::string& path,
-                               const std::string& contents) {
+Status WriteFile(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return Status::IoError("cannot open " + path + " for writing");

@@ -63,7 +63,7 @@ const char* TraceCategoryName(uint32_t category);
 
 /// Parses a comma-separated category list ("tx,rx", "all", "none") into a
 /// bitmask. InvalidArgument on unknown names.
-[[nodiscard]] StatusOr<uint32_t> ParseTraceCategories(const std::string& csv);
+StatusOr<uint32_t> ParseTraceCategories(const std::string& csv);
 
 /// What a Trace records and how aggressively it samples.
 struct TraceOptions {
@@ -87,6 +87,13 @@ class Trace {
   /// gated on a non-null Trace* pay one mask test.
   bool Enabled(uint32_t category) const {
     return ((options_.categories | recorder_categories_) & category) != 0;
+  }
+
+  /// True iff `category` is requested in the JSONL text output. Work that
+  /// changes no state may be skipped unless its records are asked for
+  /// here; the flight recorder does not keep it alive.
+  bool TextEnabled(uint32_t category) const {
+    return (options_.categories & category) != 0;
   }
 
   /// Emits the run-header record. Call once, before any other record.
@@ -132,11 +139,6 @@ class Trace {
   const TraceOptions& options() const { return options_; }
 
  private:
-  /// True iff `category` is requested in the JSONL text output.
-  bool TextEnabled(uint32_t category) const {
-    return (options_.categories & category) != 0;
-  }
-
   /// Sampling gate for one record of `category` (a single bit). Returns
   /// true if the record should be kept.
   bool Sample(uint32_t category);

@@ -129,7 +129,7 @@ struct ScenarioConfig {
   /// value, and the accepted range, so a config error is actionable before
   /// any simulator state exists — see docs/scenario_schema.md for the full
   /// contract.
-  [[nodiscard]] Status Validate() const;
+  Status Validate() const;
 };
 
 }  // namespace madnet::scenario

@@ -41,7 +41,6 @@ struct ConfigEntry {
 /// Reads every assignment of a config file ('#' comments and blank lines
 /// skipped) without interpreting the keys. Shared by the single-ad and
 /// multi-ad loaders so both report identical "path:line:" diagnostics.
-[[nodiscard]]
 StatusOr<std::vector<ConfigEntry>> ReadConfigEntries(const std::string& path);
 
 /// Applies one "key = value" assignment to `config`. Unknown keys and
@@ -58,14 +57,12 @@ StatusOr<std::vector<ConfigEntry>> ReadConfigEntries(const std::string& path);
 /// *after* area to place the issuer off-centre. 'speed'/'speed_delta'
 /// raise medium.max_speed_mps as needed so a fast scenario round-trips
 /// without an explicit 'max_speed'.
-[[nodiscard]]
 Status ApplyConfigKey(const std::string& key, const std::string& value,
                       ScenarioConfig* config);
 
 /// Loads a config file on top of `*config` (which supplies defaults for
 /// unmentioned keys). The result is validated before returning; no invalid
 /// configuration ever leaves this function.
-[[nodiscard]]
 Status LoadConfigFile(const std::string& path, ScenarioConfig* config);
 
 /// Serializes the settable keys of a config in the same format. Every key

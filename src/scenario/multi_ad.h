@@ -5,7 +5,9 @@
 // different shops, individuals issuing ads at different places" — paper,
 // Section I). Advertising areas overlap and peers carry several ads at
 // once, which is the regime where the top-k probability-ordered cache
-// (Algorithm 1) actually gets exercised.
+// (Algorithm 1) actually gets exercised. A Scenario built from a
+// MultiAdConfig runs them; this header holds the config, its file format
+// and a thin result adapter.
 
 #ifndef MADNET_SCENARIO_MULTI_AD_H_
 #define MADNET_SCENARIO_MULTI_AD_H_
@@ -13,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
 #include "scenario/config.h"
 #include "scenario/scenario.h"
 #include "stats/delivery.h"
@@ -21,9 +22,9 @@
 namespace madnet::scenario {
 
 /// Configuration of a multi-ad run. The embedded `base` supplies the
-/// method, population, mobility, medium and protocol options; its single-ad
-/// fields (issue_location, initial R/D, issue_time) are ignored in favour
-/// of the fields below.
+/// method, population, mobility, medium, protocol and fault options; its
+/// single-ad fields (issue_location, initial R/D, issue_time) are ignored
+/// in favour of the fields below.
 struct MultiAdConfig {
   ScenarioConfig base;
 
@@ -46,36 +47,25 @@ struct MultiAdConfig {
   double zipf_s = 1.0;
 
   /// Cross-field validation with key-named diagnostics, mirroring
-  /// ScenarioConfig::Validate(). Fault plans are rejected here: the
-  /// multi-ad harness does not build a FaultInjector, so a plan would be
-  /// silently ignored.
-  [[nodiscard]] Status Validate() const;
+  /// ScenarioConfig::Validate(), which it runs on `base` first.
+  Status Validate() const;
 };
 
 /// Per-ad and aggregate results of a multi-ad run.
 struct MultiAdResult {
-  struct PerAd {
-    uint64_t key = 0;
-    Vec2 location;
-    sim::Time issue_time = 0.0;
-    stats::DeliveryReport report;
-  };
+  using PerAd = AdReport;
   std::vector<PerAd> ads;
   net::MediumStats net;
 
-  /// Mean delivery rate over ads with at least one passing peer.
-  double MeanDeliveryRatePercent() const;
-
-  /// Mean delivery time over all delivered peers of all ads.
-  double MeanDeliveryTime() const;
+  double MeanDeliveryRatePercent() const {
+    return scenario::MeanDeliveryRatePercent(ads);
+  }
+  double MeanDeliveryTime() const { return scenario::MeanDeliveryTime(ads); }
 };
 
-/// Builds, runs and reports a multi-ad scenario. Node ids: issuers are
-/// 0..num_ads-1 (stationary at their ad's location), peers follow. An
-/// optional `trace` (borrowed) receives the simulator's, the medium's and
-/// the protocols' records, per its categories.
-MultiAdResult RunMultiAdScenario(const MultiAdConfig& config,
-                                 obs::Trace* trace = nullptr);
+/// Runs `Scenario(config)` and keeps its per-ad reports and medium
+/// counters.
+MultiAdResult RunMultiAdScenario(const MultiAdConfig& config);
 
 // --- Multi-ad config files -------------------------------------------------
 //
@@ -89,25 +79,21 @@ bool IsMultiAdKey(const std::string& key);
 
 /// Applies one assignment: multi-ad keys to `config`, everything else to
 /// `config->base` via ApplyConfigKey. Same fail-fast diagnostics.
-[[nodiscard]]
 Status ApplyMultiAdConfigKey(const std::string& key, const std::string& value,
                              MultiAdConfig* config);
-
-/// Loads a multi-ad config file on top of `*config`; validated before
-/// returning, like LoadConfigFile.
-[[nodiscard]]
-Status LoadMultiAdConfigFile(const std::string& path, MultiAdConfig* config);
 
 /// Serializes a multi-ad config (base keys + multi-ad keys); round-trips.
 std::string SaveMultiAdConfigText(const MultiAdConfig& config);
 
+/// The multi-ad keys part of SaveMultiAdConfigText.
+std::string MultiAdKeysText(const MultiAdConfig& config);
+
 /// Loads a scenario file of either kind: the file is multi-ad iff any of
 /// its keys IsMultiAdKey. On success `*is_multi_ad` says which loader ran
 /// and `out` holds the result (`out->base` alone is meaningful for
-/// single-ad files). This is what `madnet_run --validate-only` and the
+/// single-ad files). This is what `madnet_run --config` and the
 /// corpus smoke tests call, so every file under scenarios/ goes through
 /// one sniffing contract.
-[[nodiscard]]
 Status LoadScenarioFileAuto(const std::string& path, MultiAdConfig* out,
                             bool* is_multi_ad);
 

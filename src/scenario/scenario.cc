@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/opportunistic_gossip.h"
@@ -15,6 +18,7 @@
 #include "mobility/random_waypoint.h"
 #include "obs/manifest.h"
 #include "scenario/config_io.h"
+#include "scenario/multi_ad.h"
 #include "util/logging.h"
 
 namespace madnet::scenario {
@@ -25,8 +29,80 @@ namespace {
 constexpr double kIssuerOfflineDelay = 1.0;
 }  // namespace
 
+Scenario::Layout Scenario::SingleAdLayout(const ScenarioConfig& config) {
+  Layout layout;
+  layout.ads.push_back({config.issue_location, config.issue_time_s,
+                        config.initial_radius_m, config.initial_duration_s,
+                        config.content});
+  layout.medium_rng = Rng(config.seed).Fork(0x4D454449);  // "MEDI"
+  layout.first_peer_mobility_label = 0x10000 + 1;  // Node id of peer 0.
+  return layout;
+}
+
+Scenario::Layout Scenario::MultiAdLayout(const MultiAdConfig& config) {
+  Status valid = config.Validate();
+  assert(valid.ok() && "invalid MultiAdConfig");
+  (void)valid;
+  const Rng root(config.base.seed);
+  Layout layout;
+  layout.medium_rng = root.Fork(0x4D414449);  // "MADI"
+  layout.first_peer_mobility_label = 0x10000;  // Peer index 0.
+  layout.keys_text = MultiAdKeysText(config);
+
+  // Issue locations, uniform with a border margin.
+  Rng placer = root.Fork(0x504C4143);  // "PLAC"
+  const Rect placement{{config.border_margin_m, config.border_margin_m},
+                       {config.base.area_size_m - config.border_margin_m,
+                        config.base.area_size_m - config.border_margin_m}};
+  std::vector<Vec2> locations(config.num_ads);
+  if (config.num_stalls > 0) {
+    // Marketplace mode: fixed stalls, each ad drawn to a stall with Zipf
+    // weight 1/(rank+1)^s — stall 0 is the most popular. Stall positions
+    // first, then the per-ad draws, so adding ads never moves the stalls.
+    std::vector<Vec2> stalls(config.num_stalls);
+    for (Vec2& stall : stalls) stall = placer.UniformInRect(placement);
+    std::vector<double> cumulative(config.num_stalls);
+    double total = 0.0;
+    for (int r = 0; r < config.num_stalls; ++r) {
+      total += 1.0 / std::pow(static_cast<double>(r + 1), config.zipf_s);
+      cumulative[r] = total;
+    }
+    for (Vec2& location : locations) {
+      const double draw = placer.Uniform(0.0, total);
+      const size_t stall = static_cast<size_t>(
+          std::lower_bound(cumulative.begin(), cumulative.end(), draw) -
+          cumulative.begin());
+      location = stalls[std::min(
+          stall, static_cast<size_t>(config.num_stalls - 1))];
+    }
+  } else {
+    for (Vec2& location : locations) {
+      location = placer.UniformInRect(placement);
+    }
+  }
+  for (int i = 0; i < config.num_ads; ++i) {
+    core::AdContent content = config.base.content;
+    content.text += " #" + std::to_string(i);
+    layout.ads.push_back({locations[i],
+                          config.first_issue_s + config.issue_spacing_s * i,
+                          config.ad_radius_m, config.ad_duration_s,
+                          std::move(content)});
+  }
+  return layout;
+}
+
 Scenario::Scenario(const ScenarioConfig& config, obs::RunContext* obs)
-    : config_(config), obs_(obs), log_clock_(simulator_.NowHandle()) {
+    : Scenario(config, SingleAdLayout(config), obs) {}
+
+Scenario::Scenario(const MultiAdConfig& config, obs::RunContext* obs)
+    : Scenario(config.base, MultiAdLayout(config), obs) {}
+
+Scenario::Scenario(const ScenarioConfig& config, Layout layout,
+                   obs::RunContext* obs)
+    : config_(config),
+      obs_(obs),
+      ads_(std::move(layout.ads)),
+      log_clock_(simulator_.NowHandle()) {
   obs::PhaseTimer setup_timer(obs_, "setup");
   Status valid = config_.Validate();
   assert(valid.ok() && "invalid ScenarioConfig");
@@ -56,14 +132,15 @@ Scenario::Scenario(const ScenarioConfig& config, obs::RunContext* obs)
 
   Rng root(config_.seed);
   medium_ = std::make_unique<net::Medium>(config_.medium, &simulator_,
-                                          root.Fork(0x4D454449));  // "MEDI"
+                                          layout.medium_rng);
 
   if (obs_ != nullptr) {
     // Header first, so every run's chunk is self-describing; then hand the
     // sink to the subsystems that emit records. The hash covers the folded
     // config (what actually ran), seed included.
-    obs_->trace.BeginRun(config_.seed,
-                         obs::HashHex(SaveConfigText(config_)));
+    obs_->trace.BeginRun(
+        config_.seed,
+        obs::HashHex(SaveConfigText(config_) + layout.keys_text));
     simulator_.SetTrace(&obs_->trace);
     medium_->SetTrace(&obs_->trace);
     // Spatial load telemetry: one tile per radio range, so each tile is
@@ -78,19 +155,23 @@ Scenario::Scenario(const ScenarioConfig& config, obs::RunContext* obs)
     simulator_.EnableDispatchGapTelemetry();
   }
 
-  const int node_count = config_.num_peers + 1;  // Peers plus the issuer.
+  const int node_count = num_ads() + config_.num_peers;
   mobilities_.reserve(node_count);
   protocols_.reserve(node_count);
 
-  // Node 0: the issuer, stationary at the issuing location.
-  mobilities_.push_back(
-      std::make_unique<mobility::Stationary>(config_.issue_location));
-  // Nodes 1..N: mobile peers.
-  for (int i = 1; i <= config_.num_peers; ++i) {
+  // Nodes 0..K-1: the issuers, each stationary at its ad's location.
+  for (const AdPlan& ad : ads_) {
+    mobilities_.push_back(
+        std::make_unique<mobility::Stationary>(ad.location));
+  }
+  // Nodes K..K+N-1: mobile peers.
+  for (int i = 0; i < config_.num_peers; ++i) {
     // Per-peer mobility streams draw from the reserved range
     // [0x10000, 0x20000), disjoint from every other Fork range.
+    const uint64_t label =
+        layout.first_peer_mobility_label + static_cast<uint64_t>(i);
     // NOLINTNEXTLINE(madnet-rng-fork-label): reserved range 0x10000+peer.
-    mobilities_.push_back(MakeMobility(root.Fork(0x10000 + i)));
+    mobilities_.push_back(MakeMobility(root.Fork(label)));
   }
 
   for (net::NodeId id = 0; id < static_cast<net::NodeId>(node_count); ++id) {
@@ -116,12 +197,14 @@ Scenario::Scenario(const ScenarioConfig& config, obs::RunContext* obs)
     fault::FaultInjector::Hooks hooks;
     hooks.on_crash = [this](net::NodeId id) { protocols_[id]->OnCrash(); };
     hooks.on_rejoin = [this](net::NodeId id) { protocols_[id]->OnRejoin(); };
-    // Only mobile peers churn; the issuer's availability is governed by
+    // Only mobile peers churn; the issuers' availability is governed by
     // issuer_goes_offline alone.
     if (config_.num_peers > 0) {
-      injector_->Arm(issuer_id() + 1,
-                     issuer_id() + static_cast<net::NodeId>(config_.num_peers),
-                     std::move(hooks));
+      const net::NodeId first_peer = static_cast<net::NodeId>(num_ads());
+      injector_->Arm(
+          first_peer,
+          first_peer + static_cast<net::NodeId>(config_.num_peers - 1),
+          std::move(hooks));
     }
     if (obs_ != nullptr && obs_->flight_recorder == nullptr) {
       // Fault runs get a postmortem ring even when the session did not ask
@@ -142,8 +225,8 @@ Scenario::~Scenario() {
   }
 }
 
-std::unique_ptr<mobility::MobilityModel> MakePeerMobility(
-    const ScenarioConfig& config, Rng rng) {
+std::unique_ptr<mobility::MobilityModel> Scenario::MakeMobility(Rng rng) {
+  const ScenarioConfig& config = config_;
   const Rect area{{0.0, 0.0}, {config.area_size_m, config.area_size_m}};
   const double min_speed = config.mean_speed_mps - config.speed_delta_mps;
   const double max_speed = config.mean_speed_mps + config.speed_delta_mps;
@@ -201,10 +284,6 @@ std::unique_ptr<mobility::MobilityModel> MakePeerMobility(
   return std::make_unique<mobility::RandomWaypoint>(options, rng);
 }
 
-std::unique_ptr<mobility::MobilityModel> Scenario::MakeMobility(Rng rng) {
-  return MakePeerMobility(config_, rng);
-}
-
 std::unique_ptr<core::Protocol> Scenario::MakeProtocol(net::NodeId id,
                                                        Rng rng) {
   core::ProtocolContext context;
@@ -237,26 +316,28 @@ RunResult Scenario::Run() {
   assert(!ran_ && "Scenario::Run may only be called once");
   ran_ = true;
 
-  RunResult result;
-  // Issue the advertisement at the configured time.
-  simulator_.ScheduleAt(config_.issue_time_s, [this, &result]() {
-    auto issued = protocols_[issuer_id()]->Issue(config_.content,
-                                                 config_.initial_radius_m,
-                                                 config_.initial_duration_s);
-    assert(issued.ok());
-    result.ad_key = issued->Key();
-    issued_ad_key_ = result.ad_key;
-    if (config_.method != Method::kFlooding && config_.issuer_goes_offline) {
-      simulator_.Schedule(kIssuerOfflineDelay, [this]() {
-        const Status off = medium_->SetOnline(issuer_id(), false);
-        if (!off.ok()) {
-          MADNET_LOG_ERROR("issuer %u could not go offline: %s",
-                           static_cast<unsigned>(issuer_id()),
-                           off.message().c_str());
-        }
-      });
-    }
-  });
+  // Issue every advertisement at its time, ad i from issuer i.
+  for (size_t i = 0; i < ads_.size(); ++i) {
+    simulator_.ScheduleAt(ads_[i].issue_time, [this, i]() {
+      AdPlan& ad = ads_[i];
+      const net::NodeId issuer = issuer_id() + static_cast<net::NodeId>(i);
+      auto issued =
+          protocols_[issuer]->Issue(ad.content, ad.radius_m, ad.duration_s);
+      assert(issued.ok());
+      ad.key = issued->Key();
+      if (config_.method != Method::kFlooding &&
+          config_.issuer_goes_offline) {
+        simulator_.Schedule(kIssuerOfflineDelay, [this, issuer]() {
+          const Status off = medium_->SetOnline(issuer, false);
+          if (!off.ok()) {
+            MADNET_LOG_ERROR("issuer %u could not go offline: %s",
+                             static_cast<unsigned>(issuer),
+                             off.message().c_str());
+          }
+        });
+      }
+    });
+  }
 
   {
     obs::PhaseTimer loop_timer(obs_, "event_loop");
@@ -264,23 +345,31 @@ RunResult Scenario::Run() {
   }
   obs::PhaseTimer aggregate_timer(obs_, "aggregate");
 
-  // Metrics over the ad's life cycle within the simulated horizon.
-  const double life_end = std::min(
-      config_.issue_time_s + config_.initial_duration_s, config_.sim_time_s);
-  stats::AreaTracker tracker(
-      Circle{config_.issue_location, config_.initial_radius_m},
-      config_.issue_time_s, life_end);
-  for (int i = 1; i <= config_.num_peers; ++i) {
-    tracker.Observe(static_cast<net::NodeId>(i), mobilities_[i].get());
+  // Metrics over each ad's life cycle within the simulated horizon; only
+  // mobile peers count.
+  RunResult result;
+  result.ads.reserve(ads_.size());
+  for (const AdPlan& ad : ads_) {
+    const double life_end =
+        std::min(ad.issue_time + ad.duration_s, config_.sim_time_s);
+    stats::AreaTracker tracker(Circle{ad.location, ad.radius_m},
+                               ad.issue_time, life_end);
+    for (size_t id = ads_.size(); id < mobilities_.size(); ++id) {
+      tracker.Observe(static_cast<net::NodeId>(id), mobilities_[id].get());
+    }
+    result.ads.push_back({ad.key, ad.location, ad.issue_time,
+                          ComputeDeliveryReport(tracker, delivery_log_,
+                                                ad.key)});
   }
-  result.report = ComputeDeliveryReport(tracker, delivery_log_, result.ad_key);
+  result.report = result.ads.front().report;
+  result.ad_key = result.ads.front().key;
   result.net = medium_->stats();
   if (injector_ != nullptr) result.fault = injector_->stats();
   result.events_executed = simulator_.ExecutedEvents();
   result.queue_pops = simulator_.QueuePops();
   result.queue_depth_sum = simulator_.QueueDepthSum();
 
-  // Ranking evidence: the most-enlarged surviving copy of the ad.
+  // Ranking evidence: the most-enlarged surviving copy of the first ad.
   for (const auto& protocol : protocols_) {
     const auto* gossip =
         dynamic_cast<const core::OpportunisticGossip*>(protocol.get());
@@ -331,14 +420,16 @@ void Scenario::CaptureMetrics(const RunResult& result) {
     *metrics.Counter("fault.loss_episodes") += result.fault.loss_episodes;
     *metrics.Counter("fault.outages") += result.fault.outages;
   }
-  metrics
-      .Histogram("scenario.delivery_rate_percent",
-                 {10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-      ->Observe(result.DeliveryRatePercent());
-  metrics
-      .Histogram("scenario.mean_delivery_time_s",
-                 {1, 2, 5, 10, 20, 50, 100, 200, 500})
-      ->Observe(result.MeanDeliveryTime());
+  for (const AdReport& ad : result.ads) {
+    metrics
+        .Histogram("scenario.delivery_rate_percent",
+                   {10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
+        ->Observe(ad.report.DeliveryRatePercent());
+    metrics
+        .Histogram("scenario.mean_delivery_time_s",
+                   {1, 2, 5, 10, 20, 50, 100, 200, 500})
+        ->Observe(ad.report.MeanDeliveryTime());
+  }
   metrics.SetGauge("scenario.final_rank", result.final_rank);
   metrics.SetGauge("scenario.final_radius_m", result.final_radius_m);
   metrics.SetGauge("scenario.final_duration_s", result.final_duration_s);
@@ -367,6 +458,27 @@ mobility::TraceSet Scenario::RecordTraces(sim::Time horizon) {
                                                 horizon));
   }
   return traces;
+}
+
+double MeanDeliveryRatePercent(const std::vector<AdReport>& ads) {
+  double total = 0.0;
+  int scored = 0;
+  for (const AdReport& ad : ads) {
+    if (ad.report.peers_passed == 0) continue;
+    total += ad.report.DeliveryRatePercent();
+    ++scored;
+  }
+  return scored == 0 ? 0.0 : total / scored;
+}
+
+double MeanDeliveryTime(const std::vector<AdReport>& ads) {
+  double sum = 0.0;
+  size_t count = 0;
+  for (const AdReport& ad : ads) {
+    sum += ad.report.delivery_times.Sum();
+    count += ad.report.delivery_times.Count();
+  }
+  return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
 RunResult RunScenario(const ScenarioConfig& config) {

@@ -143,9 +143,10 @@ class Simulator {
   /// simulator or be cleared before it dies.
   void SetTrace(obs::Trace* trace) { trace_ = trace; }
 
-  /// True iff each executed event writes a kTraceEvent record.
+  /// True iff each executed event writes a kTraceEvent text record (a
+  /// flight recorder's notes do not count).
   bool TracesEvents() const {
-    return trace_ != nullptr && trace_->Enabled(obs::kTraceEvent);
+    return trace_ != nullptr && trace_->TextEnabled(obs::kTraceEvent);
   }
 
   /// Bucket upper edges for the dispatch-gap telemetry (one overflow

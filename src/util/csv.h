@@ -42,7 +42,7 @@ class CsvWriter {
   }
 
   /// Flushes and closes the file; returns the final I/O status.
-  [[nodiscard]] Status Close();
+  Status Close();
 
  private:
   template <typename T>

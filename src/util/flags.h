@@ -28,7 +28,7 @@ class FlagSet {
   /// boolean shorthand "--name" (meaning "true"). Returns InvalidArgument
   /// on unknown flags or malformed arguments. Positional (non --) arguments
   /// are collected into positional().
-  [[nodiscard]] Status Parse(int argc, const char* const* argv);
+  Status Parse(int argc, const char* const* argv);
 
   /// True iff the flag was set on the command line (not just defaulted).
   bool IsSet(const std::string& name) const;
@@ -36,9 +36,9 @@ class FlagSet {
   /// Typed accessors; fall back to the declared default. GetDouble/GetInt/
   /// GetBool return the parse error if the value is malformed.
   std::string GetString(const std::string& name) const;
-  [[nodiscard]] StatusOr<double> GetDouble(const std::string& name) const;
-  [[nodiscard]] StatusOr<int64_t> GetInt(const std::string& name) const;
-  [[nodiscard]] StatusOr<bool> GetBool(const std::string& name) const;
+  StatusOr<double> GetDouble(const std::string& name) const;
+  StatusOr<int64_t> GetInt(const std::string& name) const;
+  StatusOr<bool> GetBool(const std::string& name) const;
 
   /// Arguments that did not start with "--", in order.
   const std::vector<std::string>& positional() const { return positional_; }

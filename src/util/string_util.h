@@ -29,11 +29,11 @@ std::string_view Trim(std::string_view text);
 bool StartsWith(std::string_view text, std::string_view prefix);
 
 /// Strict full-string numeric parses (no trailing garbage allowed).
-[[nodiscard]] StatusOr<double> ParseDouble(std::string_view text);
-[[nodiscard]] StatusOr<int64_t> ParseInt(std::string_view text);
+StatusOr<double> ParseDouble(std::string_view text);
+StatusOr<int64_t> ParseInt(std::string_view text);
 
 /// Parses "true/false/1/0/yes/no/on/off" (case-sensitive, lowercase).
-[[nodiscard]] StatusOr<bool> ParseBool(std::string_view text);
+StatusOr<bool> ParseBool(std::string_view text);
 
 }  // namespace madnet
 

@@ -182,11 +182,6 @@ TEST(ScenarioCorpusTest, NegativeFixturesFailWithExactDiagnostics) {
        ": key 'hotspot_sigma' = 600: accepted range [0, area/2) = [0, "
        "500) when hotspot_extra > 0 — extra hotspot centres are placed "
        "one sigma inside the arena (key 'area')"},
-      {"bad_multi_fault.cfg",
-       ": keys 'churn_rate'/'loss_extra'/'outage_*': fault plans are not "
-       "supported in multi-ad scenarios (key 'ads') — the multi-ad "
-       "harness builds no FaultInjector, so the plan would be silently "
-       "ignored"},
       {"bad_max_speed.cfg",
        ": key 'max_speed' = 12: must cover the fastest mobile peer, "
        "speed + speed_delta = 15 (keys 'speed'/'speed_delta') — the "

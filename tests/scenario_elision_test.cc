@@ -90,7 +90,9 @@ struct Observed {
   std::vector<uint64_t> received_bytes;
 };
 
-Observed RunObserved(const ScenarioConfig& config, obs::RunContext* obs) {
+/// `Config` is ScenarioConfig or MultiAdConfig.
+template <typename Config>
+Observed RunObserved(const Config& config, obs::RunContext* obs) {
   Scenario scenario(config, obs);
   Observed observed;
   observed.result = scenario.Run();
@@ -130,6 +132,26 @@ void ExpectSameReport(const stats::DeliveryReport& a,
   EXPECT_EQ(a.peers_delivered, b.peers_delivered);
   EXPECT_EQ(a.delivery_times.Sum(), b.delivery_times.Sum());
   EXPECT_EQ(a.delivery_times.ToString(), b.delivery_times.ToString());
+}
+
+/// Everything a run reports except the event machinery's own counters.
+void ExpectSameOutcome(const Observed& a, const Observed& b) {
+  ExpectSameNet(a.result.net, b.result.net);
+  ASSERT_EQ(a.result.ads.size(), b.result.ads.size());
+  for (size_t i = 0; i < a.result.ads.size(); ++i) {
+    EXPECT_EQ(a.result.ads[i].key, b.result.ads[i].key);
+    ExpectSameReport(a.result.ads[i].report, b.result.ads[i].report);
+  }
+  EXPECT_EQ(a.result.fault.node_downs, b.result.fault.node_downs);
+  EXPECT_EQ(a.result.fault.crashes, b.result.fault.crashes);
+  EXPECT_EQ(a.result.fault.loss_episodes, b.result.fault.loss_episodes);
+  EXPECT_EQ(a.result.fault.outages, b.result.fault.outages);
+  EXPECT_EQ(a.result.sketch_merges, b.result.sketch_merges);
+  EXPECT_EQ(a.result.final_rank, b.result.final_rank);
+  EXPECT_EQ(a.result.final_radius_m, b.result.final_radius_m);
+  EXPECT_EQ(a.result.final_duration_s, b.result.final_duration_s);
+  EXPECT_EQ(a.received, b.received);
+  EXPECT_EQ(a.received_bytes, b.received_bytes);
 }
 
 struct Case {
@@ -186,20 +208,7 @@ TEST_P(ElisionEquivalenceTest, UntracedMatchesRxTraced) {
   EXPECT_EQ(elided.result.events_executed + elided.result.net.elided,
             scheduled.result.events_executed);
 
-  ExpectSameNet(elided.result.net, scheduled.result.net);
-  ExpectSameReport(elided.result.report, scheduled.result.report);
-  EXPECT_EQ(elided.result.fault.node_downs, scheduled.result.fault.node_downs);
-  EXPECT_EQ(elided.result.fault.crashes, scheduled.result.fault.crashes);
-  EXPECT_EQ(elided.result.fault.loss_episodes,
-            scheduled.result.fault.loss_episodes);
-  EXPECT_EQ(elided.result.fault.outages, scheduled.result.fault.outages);
-  EXPECT_EQ(elided.result.sketch_merges, scheduled.result.sketch_merges);
-  EXPECT_EQ(elided.result.final_rank, scheduled.result.final_rank);
-  EXPECT_EQ(elided.result.final_radius_m, scheduled.result.final_radius_m);
-  EXPECT_EQ(elided.result.final_duration_s,
-            scheduled.result.final_duration_s);
-  EXPECT_EQ(elided.received, scheduled.received);
-  EXPECT_EQ(elided.received_bytes, scheduled.received_bytes);
+  ExpectSameOutcome(elided, scheduled);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -242,6 +251,25 @@ TEST(ElisionQuietSessionTest, MetricsMatchRxTraced) {
   }
 }
 
+/// An observed fault run gets a flight recorder, and the recorder keeps no
+/// notes of elided deliveries: a quiet session under crash churn still
+/// elides, and reports exactly what the unobserved run reports.
+TEST(ElisionQuietSessionTest, CrashChurnRunElidesUnderRecorder) {
+  for (Method method : {Method::kFlooding, Method::kGossip}) {
+    SCOPED_TRACE(MethodName(method));
+    const ScenarioConfig config = CaseConfig(method, Condition::kChurn);
+    obs::RunContext quiet{Categories(0)};
+    const Observed observed = RunObserved(config, &quiet);
+    const Observed plain = RunObserved(config, nullptr);
+    EXPECT_GT(observed.result.net.elided, 0u);
+    EXPECT_EQ(observed.result.net.elided, plain.result.net.elided);
+    EXPECT_EQ(observed.result.events_executed, plain.result.events_executed);
+    EXPECT_EQ(observed.result.queue_pops, plain.result.queue_pops);
+    EXPECT_EQ(observed.result.queue_depth_sum, plain.result.queue_depth_sum);
+    ExpectSameOutcome(observed, plain);
+  }
+}
+
 /// Five overlapping ads; with a two-entry cache peers evict, and every
 /// eviction recalls the peer's elided deliveries.
 MultiAdConfig MultiAd(size_t cache_capacity) {
@@ -265,17 +293,13 @@ TEST(ElisionMultiAdTest, UntracedMatchesRxTraced) {
   for (size_t capacity : {size_t{10}, size_t{2}}) {
     SCOPED_TRACE(capacity);
     const MultiAdConfig config = MultiAd(capacity);
-    const MultiAdResult elided = RunMultiAdScenario(config);
-    obs::Trace rx(Categories(obs::kTraceRx));
-    const MultiAdResult scheduled = RunMultiAdScenario(config, &rx);
-    EXPECT_GT(elided.net.elided, 0u);
-    EXPECT_EQ(scheduled.net.elided, 0u);
-    ExpectSameNet(elided.net, scheduled.net);
-    ASSERT_EQ(elided.ads.size(), scheduled.ads.size());
-    for (size_t i = 0; i < elided.ads.size(); ++i) {
-      EXPECT_EQ(elided.ads[i].key, scheduled.ads[i].key);
-      ExpectSameReport(elided.ads[i].report, scheduled.ads[i].report);
-    }
+    const Observed elided = RunObserved(config, nullptr);
+    obs::RunContext rx_context{Categories(obs::kTraceRx)};
+    const Observed scheduled = RunObserved(config, &rx_context);
+    EXPECT_GT(elided.result.net.elided, 0u);
+    EXPECT_EQ(scheduled.result.net.elided, 0u);
+    ASSERT_EQ(elided.result.ads.size(), 5u);
+    ExpectSameOutcome(elided, scheduled);
   }
 }
 

@@ -24,6 +24,8 @@
 // per-ad state, shared ad snapshots, sketch merges only when ranking), and
 // that rework changed none of them. The one metrics key it added,
 // core.sketch_merges, is its witness and so is pinned by value instead.
+// Its MultiAd legs run scenarios/marketplace_zipf.cfg, plain and under
+// crash churn, through a multi-ad Scenario.
 
 #include <cinttypes>
 #include <cmath>
@@ -42,6 +44,22 @@ namespace madnet::scenario {
 namespace {
 
 enum class Condition { kPlain, kCsma, kChurn };
+
+void ApplyCondition(Condition condition, ScenarioConfig* config) {
+  switch (condition) {
+    case Condition::kPlain:
+      break;
+    case Condition::kCsma:
+      config->medium.csma = true;
+      break;
+    case Condition::kChurn:
+      config->fault.churn_rate = 0.3;
+      config->fault.churn_up_s = 60.0;
+      config->fault.churn_down_s = 30.0;
+      config->fault.churn_crash = true;
+      break;
+  }
+}
 
 /// 200 peers at half the Table II density, so delivery falls short of
 /// 100%. The ad expires at t = 330 s of a 450 s run, so unranked gossip
@@ -66,19 +84,7 @@ ScenarioConfig GoldenConfig(Method method, Condition condition) {
         core::InterestGenerator::DefaultUniverse();
     config.sim_time_s = 300.0;
   }
-  switch (condition) {
-    case Condition::kPlain:
-      break;
-    case Condition::kCsma:
-      config.medium.csma = true;
-      break;
-    case Condition::kChurn:
-      config.fault.churn_rate = 0.3;
-      config.fault.churn_up_s = 60.0;
-      config.fault.churn_down_s = 30.0;
-      config.fault.churn_crash = true;
-      break;
-  }
+  ApplyCondition(condition, &config);
   return config;
 }
 
@@ -177,7 +183,20 @@ struct DigestCase {
   Condition condition;
   const char* expected;  ///< "trace=<hex> metrics=<hex>".
   uint64_t sketch_merges;
+  bool marketplace = false;  ///< Run MarketplaceConfig, not GoldenConfig.
 };
+
+/// scenarios/marketplace_zipf.cfg: 12 ads from 4 Zipf-weighted stalls,
+/// 200 peers, an 8-entry cache.
+MultiAdConfig MarketplaceConfig(Condition condition) {
+  MultiAdConfig config;
+  bool is_multi_ad = false;
+  const Status loaded = LoadScenarioFileAuto(
+      MADNET_SCENARIO_DIR "/marketplace_zipf.cfg", &config, &is_multi_ad);
+  EXPECT_TRUE(loaded.ok() && is_multi_ad) << loaded.ToString();
+  ApplyCondition(condition, &config.base);
+  return config;
+}
 
 constexpr char kSketchMergesKey[] = "\"core.sketch_merges\":";
 
@@ -243,7 +262,9 @@ TEST_P(GoldenDigestTest, MatchesPinnedDigests) {
   trace_options.categories = obs::kTraceAll;
   obs::RunContext context{trace_options};
   const RunResult result =
-      RunScenario(GoldenConfig(c.method, c.condition), &context);
+      c.marketplace
+          ? Scenario(MarketplaceConfig(c.condition), &context).Run()
+          : RunScenario(GoldenConfig(c.method, c.condition), &context);
   const std::string json = context.metrics.ToJson();
   char buf[64];
   std::snprintf(buf, sizeof(buf), "trace=%016" PRIx64 " metrics=%016" PRIx64,
@@ -262,6 +283,23 @@ TEST_P(GoldenDigestTest, MatchesPinnedDigests) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, GoldenDigestTest, ::testing::ValuesIn(kDigestCases),
+    [](const ::testing::TestParamInfo<DigestCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The plain leg's trace digest came from the former separate multi-ad
+// engine, behind the run header a Scenario writes.
+// clang-format off
+const DigestCase kMarketplaceDigestCases[] = {
+    {"marketplace_plain", Method::kOptimized, Condition::kPlain,
+     "trace=bcb7d3bdf8a7302b metrics=0227bbff93e79a13", 0, true},
+    {"marketplace_churn", Method::kOptimized, Condition::kChurn,
+     "trace=47cb6173cb181d3e metrics=7879714997c33854", 0, true},
+};
+// clang-format on
+
+INSTANTIATE_TEST_SUITE_P(
+    MultiAd, GoldenDigestTest, ::testing::ValuesIn(kMarketplaceDigestCases),
     [](const ::testing::TestParamInfo<DigestCase>& info) {
       return std::string(info.param.name);
     });

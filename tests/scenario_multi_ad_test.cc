@@ -7,8 +7,12 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "obs/run_context.h"
 
 namespace madnet::scenario {
 namespace {
@@ -153,14 +157,20 @@ TEST(MultiAdTest, StallAssignmentDeterministicInSeed) {
   }
 }
 
-TEST(MultiAdConfigTest, RejectsFaultPlans) {
-  MultiAdConfig config = FastConfig();
-  config.base.fault.churn_rate = 0.2;
-  Status status = config.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("fault plans are not supported"),
-            std::string::npos)
-      << status.message();
+TEST(MultiAdTest, ChurnSkipsEveryIssuer) {
+  // Fault plans run in multi-ad scenarios too. Every peer (node ids from
+  // num_ads on) churns, and no issuer does.
+  MultiAdConfig config = FastConfig(Method::kGossip);
+  config.base.fault.churn_rate = 1.0;
+  config.base.fault.churn_crash = true;
+  obs::RunContext context{obs::TraceOptions{obs::kTraceFault}};
+  EXPECT_GT(Scenario(config, &context).Run().fault.crashes, 0u);
+  std::istringstream lines(context.trace.text());
+  for (std::string line; std::getline(lines, line);) {
+    const size_t at = line.find("\"node\":");
+    if (at == std::string::npos) continue;  // The run header.
+    EXPECT_GE(std::stoi(line.substr(at + 7)), config.num_ads) << line;
+  }
 }
 
 TEST(MultiAdConfigTest, RejectsNegativeStallsAndZipf) {
@@ -188,6 +198,14 @@ class MultiAdIoTest : public ::testing::Test {
     out << content;
   }
 
+  /// Loads the file, which must sniff as multi-ad.
+  Status Load(MultiAdConfig* config) {
+    bool is_multi_ad = false;
+    Status status = LoadScenarioFileAuto(path_, config, &is_multi_ad);
+    EXPECT_TRUE(is_multi_ad);
+    return status;
+  }
+
   std::string path_;
 };
 
@@ -206,7 +224,7 @@ TEST_F(MultiAdIoTest, LoadsMultiAdKeysOverDefaults) {
       "stalls = 3\n"
       "zipf = 1.5\n");
   MultiAdConfig config;
-  ASSERT_TRUE(LoadMultiAdConfigFile(path_, &config).ok());
+  ASSERT_TRUE(Load(&config).ok());
   EXPECT_EQ(config.num_ads, 6);
   EXPECT_DOUBLE_EQ(config.first_issue_s, 40.0);
   EXPECT_DOUBLE_EQ(config.issue_spacing_s, 20.0);
@@ -226,7 +244,7 @@ TEST_F(MultiAdIoTest, SaveLoadRoundTripsIdentically) {
   const std::string first = SaveMultiAdConfigText(original);
   WriteFile(first);
   MultiAdConfig loaded;
-  ASSERT_TRUE(LoadMultiAdConfigFile(path_, &loaded).ok());
+  ASSERT_TRUE(Load(&loaded).ok());
   EXPECT_EQ(SaveMultiAdConfigText(loaded), first);
   EXPECT_EQ(loaded.num_ads, original.num_ads);
   EXPECT_EQ(loaded.num_stalls, 4);
@@ -250,7 +268,7 @@ TEST_F(MultiAdIoTest, AutoLoaderSniffsKind) {
 TEST_F(MultiAdIoTest, BadMultiAdValueNamesKeyAndLine) {
   WriteFile("ads = 3\nad_radius = wide\n");
   MultiAdConfig config;
-  Status status = LoadMultiAdConfigFile(path_, &config);
+  Status status = Load(&config);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find(":2:"), std::string::npos)
       << status.message();
@@ -258,14 +276,12 @@ TEST_F(MultiAdIoTest, BadMultiAdValueNamesKeyAndLine) {
       << status.message();
 }
 
-TEST_F(MultiAdIoTest, MultiAdFileWithFaultPlanRejected) {
+TEST_F(MultiAdIoTest, MultiAdFileWithFaultPlanLoads) {
   WriteFile("ads = 3\nchurn_rate = 0.2\n");
   MultiAdConfig config;
-  Status status = LoadMultiAdConfigFile(path_, &config);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("fault plans are not supported"),
-            std::string::npos)
-      << status.message();
+  ASSERT_TRUE(Load(&config).ok());
+  EXPECT_EQ(config.num_ads, 3);
+  EXPECT_DOUBLE_EQ(config.base.fault.churn_rate, 0.2);
 }
 
 }  // namespace

@@ -226,43 +226,6 @@ TEST(MadnetLintTest, AcceptsNewInCommentsAndStrings) {
 }
 
 // --------------------------------------------------------------------------
-// madnet-nodiscard-status
-
-TEST(MadnetLintTest, FlagsStatusDeclWithoutNodiscard) {
-  const auto diags = LintFile("src/core/foo.h",
-                              "class Codec {\n"
-                              " public:\n"
-                              "  Status Encode(const Ad& ad);\n"
-                              "  static StatusOr<Ad> Decode(Buffer b);\n"
-                              "};\n");
-  int count = 0;
-  for (const auto& d : diags) {
-    if (d.rule == "madnet-nodiscard-status") ++count;
-  }
-  EXPECT_EQ(count, 2);
-}
-
-TEST(MadnetLintTest, AcceptsNodiscardStatusDecls) {
-  const auto diags = LintFile(
-      "src/core/foo.h",
-      "class Codec {\n"
-      " public:\n"
-      "  [[nodiscard]] Status Encode(const Ad& ad);\n"
-      "  [[nodiscard]]\n"
-      "  static StatusOr<Ad> Decode(Buffer b);\n"
-      "};\n");
-  EXPECT_TRUE(diags.empty());
-}
-
-TEST(MadnetLintTest, SkipsOutOfLineStatusDefinitions) {
-  // The attribute belongs on the in-class declaration, not the definition.
-  const auto diags = LintFile(
-      "src/core/foo.cc",
-      "Status Codec::Encode(const Ad& ad) { return Status::Ok(); }\n");
-  EXPECT_FALSE(HasRule(diags, "madnet-nodiscard-status"));
-}
-
-// --------------------------------------------------------------------------
 // madnet-stderr
 
 TEST(MadnetLintTest, FlagsDirectStderrWrites) {
@@ -473,8 +436,6 @@ TEST(MadnetLintTest, RuleNamesListsEveryRule) {
   const auto& names = RuleNames();
   EXPECT_NE(std::find(names.begin(), names.end(), "madnet-wallclock"),
             names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "madnet-nodiscard-status"),
-            names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "madnet-stderr"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "madnet-hot-alloc"),
@@ -489,7 +450,7 @@ TEST(MadnetLintTest, RuleNamesListsEveryRule) {
   EXPECT_NE(
       std::find(names.begin(), names.end(), "madnet-trace-category-sync"),
       names.end());
-  EXPECT_EQ(names.size(), 14u);
+  EXPECT_EQ(names.size(), 13u);
 }
 
 // --------------------------------------------------------------------------
@@ -899,7 +860,7 @@ const char kSyncedTraceSource[] =
     "  }\n"
     "  return \"?\";\n"
     "}\n"
-    "[[nodiscard]] StatusOr<uint32_t> ParseTraceCategories(\n"
+    "StatusOr<uint32_t> ParseTraceCategories(\n"
     "    const std::string& csv) {\n"
     "  uint32_t mask = 0;\n"
     "  if (name == \"event\") mask |= kTraceEvent;\n"
@@ -940,7 +901,7 @@ TEST(MadnetLintTest, FlagsMissingTraceCategoryNameCase) {
        "  }\n"
        "  return \"?\";\n"
        "}\n"
-       "[[nodiscard]] StatusOr<uint32_t> ParseTraceCategories(\n"
+       "StatusOr<uint32_t> ParseTraceCategories(\n"
        "    const std::string& csv) {\n"
        "  if (name == \"event\") mask |= kTraceEvent;\n"
        "  if (name == \"tx\") mask |= kTraceTx;\n"
@@ -964,7 +925,7 @@ TEST(MadnetLintTest, FlagsMissingParseTraceCategoriesMapping) {
        "  }\n"
        "  return \"?\";\n"
        "}\n"
-       "[[nodiscard]] StatusOr<uint32_t> ParseTraceCategories(\n"
+       "StatusOr<uint32_t> ParseTraceCategories(\n"
        "    const std::string& csv) {\n"
        "  if (name == \"event\") mask |= kTraceEvent;\n"
        "}\n"},

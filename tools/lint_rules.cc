@@ -382,34 +382,6 @@ void CheckRawNew(const FileScan& scan, std::vector<Diagnostic>* out) {
 }
 
 // ---------------------------------------------------------------------------
-// madnet-nodiscard-status.
-
-void CheckNodiscardStatus(const FileScan& scan, std::vector<Diagnostic>* out) {
-  // A declaration line: optional specifiers, then Status/StatusOr<...> as
-  // the return type, then an unqualified function name and '('. Qualified
-  // names (out-of-line definitions, e.g. `Status Medium::AddNode(`) do not
-  // match because '::' intervenes before '('.
-  static const std::regex kDeclRe(
-      "^\\s*((virtual|static|inline|explicit|constexpr|friend)\\s+)*"
-      "(madnet\\s*::\\s*)?(Status|StatusOr\\s*<[^;(]*>)\\s+"
-      "([A-Za-z_][A-Za-z0-9_]*)\\s*\\(");
-  for (size_t idx = 0; idx < scan.code_lines.size(); ++idx) {
-    const std::string& line = scan.code_lines[idx];
-    if (!std::regex_search(line, kDeclRe)) continue;
-    const int lineno = static_cast<int>(idx) + 1;
-    if (Contains(line, "nodiscard")) continue;
-    // The attribute is commonly on the preceding line.
-    if (idx > 0 && Contains(scan.code_lines[idx - 1], "nodiscard")) continue;
-    if (Suppressed(scan.suppressions, lineno, "madnet-nodiscard-status")) {
-      continue;
-    }
-    out->push_back({scan.path, lineno, "madnet-nodiscard-status",
-                    "Status-returning declaration must be [[nodiscard]] so "
-                    "errors cannot be silently dropped"});
-  }
-}
-
-// ---------------------------------------------------------------------------
 // madnet-unordered-iteration.
 
 // The rule covers all of src/: hash-order iteration is a portability trap
@@ -1000,7 +972,6 @@ const std::vector<std::string>& RuleNames() {
       "madnet-stderr",
       "madnet-unordered-iteration",
       "madnet-raw-new",
-      "madnet-nodiscard-status",
       "madnet-hot-alloc",
       "madnet-hot-transitive-alloc",
       "madnet-layering",
@@ -1086,7 +1057,6 @@ std::vector<Diagnostic> Linter::Run() const {
       }
     }
     CheckRawNew(scan, &diagnostics);
-    CheckNodiscardStatus(scan, &diagnostics);
     CheckHotAlloc(scan, &diagnostics);
     CheckUnorderedIteration(scan, unordered_names, &diagnostics);
   }

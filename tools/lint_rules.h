@@ -23,8 +23,6 @@
 //   madnet-unordered-iteration  range-for over unordered containers
 //                               anywhere in src/.
 //   madnet-raw-new              raw new/delete outside allow-listed files.
-//   madnet-nodiscard-status     Status/StatusOr declaration without
-//                               [[nodiscard]].
 //   madnet-hot-alloc            heap allocation (new, make_shared/unique,
 //                               or container growth) inside a function
 //                               marked `// MADNET_HOT`, unless the

@@ -6,11 +6,15 @@
 //   madnet_run --method=gossip --peers=100 --duration=400 --seed=9
 //   madnet_run --method=flooding --loss=0.2 --collisions
 //   madnet_run --method=optimized --dump_traces=traces.txt
+//   madnet_run --config=scenarios/marketplace_zipf.cfg --reps=1
 //
-// Prints the paper's three metrics (multi-seed mean ± sd) as a table.
+// Prints the paper's three metrics (multi-seed mean ± sd) as a table; for
+// a multi-ad file, each run's delivery rate and time are its means over
+// the ads.
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "mobility/trace_io.h"
@@ -27,21 +31,8 @@ namespace {
 
 using exec::Aggregate;
 using exec::RunReplicated;
-using scenario::Method;
 using scenario::MethodName;
 using scenario::ScenarioConfig;
-
-[[nodiscard]] StatusOr<Method> ParseMethod(const std::string& name) {
-  if (name == "flooding") return Method::kFlooding;
-  if (name == "gossip") return Method::kGossip;
-  if (name == "optimized1") return Method::kOptimized1;
-  if (name == "optimized2") return Method::kOptimized2;
-  if (name == "optimized") return Method::kOptimized;
-  if (name == "exchange") return Method::kResourceExchange;
-  return Status::InvalidArgument(
-      "unknown method '" + name +
-      "' (use flooding|gossip|optimized1|optimized2|optimized|exchange)");
-}
 
 int Run(int argc, char** argv) {
   FlagSet flags;
@@ -80,7 +71,6 @@ int Run(int argc, char** argv) {
   flags.Define("validate-only", "false",
                "validate --config (single- or multi-ad) and exit: 0 = "
                "valid, 2 = invalid with a diagnostic naming the key");
-  flags.Define("validate_only", "false", "alias for --validate-only");
   flags.Define("save_config", "",
                "write the effective configuration to this file and exit");
   flags.Define("json", "false", "emit results as JSON instead of a table");
@@ -97,59 +87,39 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  if (*flags.GetBool("validate-only") || *flags.GetBool("validate_only")) {
-    // Contract check only: the file is validated exactly as the corpus CI
-    // job and the smoke tests see it; other flags are ignored.
-    const std::string path = flags.GetString("config");
-    if (path.empty()) {
-      std::fprintf(stderr, "--validate-only requires --config=<file>\n");
-      return 2;
-    }
-    scenario::MultiAdConfig loaded;
-    bool is_multi_ad = false;
-    Status valid = scenario::LoadScenarioFileAuto(path, &loaded,
+  // A file is loaded the way the corpus CI job and the smoke tests load
+  // it; a single-ad file fills `loaded.base` only.
+  const std::string config_path = flags.GetString("config");
+  scenario::MultiAdConfig loaded;
+  bool is_multi_ad = false;
+  if (!config_path.empty()) {
+    Status valid = scenario::LoadScenarioFileAuto(config_path, &loaded,
                                                   &is_multi_ad);
     if (!valid.ok()) {
       std::fprintf(stderr, "invalid scenario: %s\n",
                    valid.ToString().c_str());
       return 2;
     }
-    std::printf("OK: %s (%s scenario)\n", path.c_str(),
+  }
+  if (*flags.GetBool("validate-only")) {
+    // Contract check only; other flags are ignored.
+    if (config_path.empty()) {
+      std::fprintf(stderr, "--validate-only requires --config=<file>\n");
+      return 2;
+    }
+    std::printf("OK: %s (%s scenario)\n", config_path.c_str(),
                 is_multi_ad ? "multi-ad" : "single-ad");
     return 0;
   }
 
-  auto method = ParseMethod(flags.GetString("method"));
-  if (!method.ok()) {
-    std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
-    return 2;
-  }
-
-  ScenarioConfig config;
-  const std::string config_path = flags.GetString("config");
-  if (!config_path.empty()) {
-    Status loaded = scenario::LoadConfigFile(config_path, &config);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.ToString().c_str());
-      return 2;
-    }
-  }
-  // Explicit flags override the file (defaults only apply when unset).
-  if (config_path.empty() || flags.IsSet("method")) config.method = *method;
-  if (config_path.empty() || flags.IsSet("mobility")) {
-    Status applied = scenario::ApplyConfigKey(
-        "mobility", flags.GetString("mobility"), &config);
-    if (!applied.ok()) {
-      std::fprintf(stderr, "--mobility: %s\n", applied.ToString().c_str());
-      return 2;
-    }
-  }
+  ScenarioConfig& config = loaded.base;
   // Apply flags through the same key machinery the file uses; with a
   // config file present, only explicitly-set flags override it.
-  for (const char* key : {"peers", "area", "radius", "duration", "sim_time",
-                          "issue_time", "speed", "speed_delta", "round",
-                          "alpha", "beta", "dis", "cache", "range", "loss",
-                          "collisions", "ranking", "issuer_offline", "seed"}) {
+  for (const char* key : {"method", "mobility", "peers", "area", "radius",
+                          "duration", "sim_time", "issue_time", "speed",
+                          "speed_delta", "round", "alpha", "beta", "dis",
+                          "cache", "range", "loss", "collisions", "ranking",
+                          "issuer_offline", "seed"}) {
     if (!config_path.empty() && !flags.IsSet(key)) continue;
     Status applied =
         scenario::ApplyConfigKey(key, flags.GetString(key), &config);
@@ -161,7 +131,7 @@ int Run(int argc, char** argv) {
   }
   // The speed keys auto-raise medium.max_speed_mps inside ApplyConfigKey,
   // so an explicit max_speed from the config file survives flag overrides.
-  Status valid = config.Validate();
+  Status valid = is_multi_ad ? loaded.Validate() : config.Validate();
   if (!valid.ok()) {
     std::fprintf(stderr, "invalid configuration: %s\n",
                  valid.ToString().c_str());
@@ -171,7 +141,8 @@ int Run(int argc, char** argv) {
   const std::string save_path = flags.GetString("save_config");
   if (!save_path.empty()) {
     std::ofstream out(save_path, std::ios::trunc);
-    out << scenario::SaveConfigText(config);
+    out << (is_multi_ad ? scenario::SaveMultiAdConfigText(loaded)
+                        : scenario::SaveConfigText(config));
     out.close();
     if (out.fail()) {
       std::fprintf(stderr, "cannot write %s\n", save_path.c_str());
@@ -183,21 +154,26 @@ int Run(int argc, char** argv) {
 
   const std::string trace_path = flags.GetString("dump_traces");
   if (!trace_path.empty()) {
-    scenario::Scenario scenario(config);
+    const auto scenario =
+        is_multi_ad ? std::make_unique<scenario::Scenario>(loaded)
+                    : std::make_unique<scenario::Scenario>(config);
     Status saved =
-        SaveTraces(trace_path, scenario.RecordTraces(config.sim_time_s));
+        SaveTraces(trace_path, scenario->RecordTraces(config.sim_time_s));
     if (!saved.ok()) {
       std::fprintf(stderr, "%s\n", saved.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %d traces to %s\n", config.num_peers + 1,
-                trace_path.c_str());
+    std::printf("wrote %d traces to %s\n",
+                scenario->num_ads() + config.num_peers, trace_path.c_str());
     return 0;
   }
 
   const int reps = static_cast<int>(*flags.GetInt("reps"));
   const int jobs = static_cast<int>(*flags.GetInt("jobs"));
-  Aggregate aggregate = RunReplicated(config, reps, jobs);
+  const Aggregate aggregate =
+      is_multi_ad ? RunReplicated(loaded, reps, jobs)
+                  : RunReplicated(config, reps, jobs);
+  const int ads = is_multi_ad ? loaded.num_ads : 1;
 
   if (*flags.GetBool("json")) {
     JsonWriter json;
@@ -235,8 +211,8 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("%s — %d peers, %d replication(s), seed %llu\n",
-              MethodName(config.method), config.num_peers, reps,
+  std::printf("%s — %d ad(s), %d peers, %d replication(s), seed %llu\n",
+              MethodName(config.method), ads, config.num_peers, reps,
               static_cast<unsigned long long>(config.seed));
   Table table({"metric", "mean", "sd", "min", "max"});
   auto add = [&](const char* name, const stats::Summary& s, int digits) {
